@@ -40,8 +40,8 @@ int Run(size_t nodes, size_t routes) {
   // Live throughput: update the events/sec gauge from inside the run (sliding window)
   // instead of only as a final average. This makes the gauge wall-clock dependent, so
   // the determinism fingerprint below hashes routing results, never the registry.
-  // The sharded engine ignores periodic sampling; the gauge then only carries the
-  // whole-run average published at the end.
+  // The sharded engine samples at its window barriers, so there the sample count is
+  // window-granular; the event stream is the same either way.
   stack.sim.EnablePeriodicSampling(8192);
   // Per-host work hook for TOTORO_PROFILE runs: the periodic sampler drives this on
   // the same deterministic trigger as the queue-depth series, so the profile shows

@@ -1,7 +1,9 @@
 #include "src/dht/pastry_network.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <thread>
 
 #include "src/common/check.h"
 
@@ -43,79 +45,207 @@ PastryNode* PastryNetwork::FindById(const NodeId& id) {
   return it == by_id_.end() ? nullptr : it->second;
 }
 
+namespace {
+
+// Candidates sampled per routing-table slot; the proximity-closest of them is kept.
+constexpr int kSamplesPerSlot = 4;
+// Below this many nodes per worker, starting a thread costs more than it saves.
+constexpr size_t kMinNodesPerWorker = 4096;
+
+// The overlay in ascending id order as dense arrays, so the build reads a candidate's
+// id and host without dereferencing its node.
+struct SortedOverlay {
+  std::vector<PastryNode*> nodes;
+  std::vector<NodeId> ids;
+  std::vector<HostId> hosts;
+};
+
+// The routing-table sample draws of every node, in the one order both build passes
+// share. Draw(pos) visits the node's slots by row, then column, ascending, skipping its
+// own digit and empty candidate ranges. A range of one node yields that node without a
+// draw; any other yields kSamplesPerSlot `rng.NextBelow` picks from the range.
+//
+// Row r's candidates for column c are the sorted positions whose ids share the node's
+// first r digits and have digit r equal to c. Each call recomputes only the rows whose
+// prefix differs from the previous call's node, searching each inside its parent row's
+// range, so consecutive nodes that share a prefix reuse its column boundaries.
+class SlotSampler {
+ public:
+  SlotSampler(const std::vector<NodeId>& ids, int bits, int rows)
+      : ids_(ids),
+        bits_(bits),
+        rows_(rows),
+        columns_(1u << bits),
+        bounds_(static_cast<size_t>(rows) * (columns_ + 1)) {}
+
+  // Calls on_slot(picks, num_picks) with the sorted positions drawn for each slot of
+  // the node at sorted position `pos`.
+  template <typename OnSlot>
+  void Draw(size_t pos, Rng& rng, OnSlot&& on_slot) {
+    Seek(pos);
+    std::array<size_t, kSamplesPerSlot> picks{};
+    for (int r = 0; r < rows_; ++r) {
+      const uint32_t own_digit = ids_[pos].Digit(r, bits_);
+      for (uint32_t c = 0; c < columns_; ++c) {
+        const size_t first = Begin(r, c);
+        const size_t count = Begin(r, c + 1) - first;
+        if (c == own_digit || count == 0) {
+          continue;
+        }
+        if (count == 1) {
+          picks[0] = first;
+          on_slot(picks.data(), size_t{1});
+          continue;
+        }
+        for (size_t& pick : picks) {
+          pick = first + rng.NextBelow(count);
+        }
+        on_slot(picks.data(), picks.size());
+      }
+    }
+  }
+
+ private:
+  // Row r, column c's candidates are the positions [Begin(r, c), Begin(r, c + 1)).
+  size_t Begin(int row, uint32_t col) const {
+    return bounds_[static_cast<size_t>(row) * (columns_ + 1) + col];
+  }
+
+  void Seek(size_t pos) {
+    // Row r stays valid while pos is inside its range (positions sharing the cached
+    // node's first r digits). Ranges nest, so the valid rows are a prefix.
+    while (valid_rows_ > 0 &&
+           !(Begin(valid_rows_ - 1, 0) <= pos && pos < Begin(valid_rows_ - 1, columns_))) {
+      --valid_rows_;
+    }
+    for (int r = valid_rows_; r < rows_; ++r) {
+      size_t* row = &bounds_[static_cast<size_t>(r) * (columns_ + 1)];
+      if (r == 0) {
+        row[0] = 0;
+        row[columns_] = ids_.size();
+      } else {
+        const uint32_t parent_digit = ids_[pos].Digit(r - 1, bits_);
+        row[0] = Begin(r - 1, parent_digit);
+        row[columns_] = Begin(r - 1, parent_digit + 1);
+      }
+      // Inside the range digit r never decreases, so each boundary is a partition point.
+      const auto end = ids_.begin() + static_cast<ptrdiff_t>(row[columns_]);
+      for (uint32_t c = 1; c < columns_; ++c) {
+        const auto first = std::partition_point(
+            ids_.begin() + static_cast<ptrdiff_t>(row[c - 1]), end,
+            [&](const NodeId& other) { return other.Digit(r, bits_) < c; });
+        row[c] = static_cast<size_t>(first - ids_.begin());
+      }
+    }
+    valid_rows_ = rows_;
+  }
+
+  const std::vector<NodeId>& ids_;
+  int bits_;
+  int rows_;
+  uint32_t columns_;
+  std::vector<size_t> bounds_;  // rows_ x (columns_ + 1) boundaries.
+  int valid_rows_ = 0;
+};
+
+// Installs leaf sets and routing tables for sorted positions [begin, end), drawing from
+// `rng` as SlotSampler orders it. Touches only those nodes, their hosts' accounting
+// entries and the const latency model, so disjoint ranges can run concurrently.
+void InstallRange(const SortedOverlay& overlay, const LatencyModel& latency,
+                  const PastryConfig& config, int rows, size_t begin, size_t end,
+                  Rng& rng) {
+  const size_t n = overlay.ids.size();
+  const size_t half_leaf = static_cast<size_t>(config.leaf_set_size) / 2;
+  SlotSampler sampler(overlay.ids, config.bits_per_digit, rows);
+  for (size_t pos = begin; pos < end; ++pos) {
+    PastryNode& node = *overlay.nodes[pos];
+    const HostId self = overlay.hosts[pos];
+    // Leaf set: exact ring neighbors from the sorted order.
+    for (size_t k = 1; k <= half_leaf && k < n; ++k) {
+      for (const size_t other : {(pos + k) % n, (pos + n - k) % n}) {
+        node.Learn(RouteEntry{overlay.ids[other], overlay.hosts[other],
+                              latency.LatencyMs(self, overlay.hosts[other])});
+      }
+    }
+    // Routing table: each slot keeps the proximity-closest of its sampled candidates
+    // (the earliest draw on a tie).
+    sampler.Draw(pos, rng, [&](const size_t* picks, size_t num_picks) {
+      size_t best = picks[0];
+      double best_prox = latency.LatencyMs(self, overlay.hosts[best]);
+      for (size_t s = 1; s < num_picks; ++s) {
+        const double prox = latency.LatencyMs(self, overlay.hosts[picks[s]]);
+        if (prox < best_prox) {
+          best = picks[s];
+          best_prox = prox;
+        }
+      }
+      node.routing_table().Consider(
+          RouteEntry{overlay.ids[best], overlay.hosts[best], best_prox});
+    });
+  }
+}
+
+}  // namespace
+
 void PastryNetwork::BuildOracle(Rng& rng) {
+  const size_t hardware = std::max(1u, std::thread::hardware_concurrency());
+  BuildOracleOn(rng, std::min(hardware, nodes_.size() / kMinNodesPerWorker));
+}
+
+void PastryNetwork::BuildOracleForTest(Rng& rng, size_t workers) { BuildOracleOn(rng, workers); }
+
+void PastryNetwork::BuildOracleOn(Rng& rng, size_t workers) {
   const size_t n = nodes_.size();
   CHECK_GT(n, 0u);
-  // Sorted view of all ids for interval queries.
-  std::vector<size_t> order(n);
-  for (size_t i = 0; i < n; ++i) {
-    order[i] = i;
+  workers = std::clamp<size_t>(workers, 1, n);
+  SortedOverlay overlay;
+  overlay.nodes.reserve(n);
+  for (const auto& node : nodes_) {
+    overlay.nodes.push_back(node.get());
   }
-  std::sort(order.begin(), order.end(),
-            [&](size_t a, size_t b) { return nodes_[a]->id() < nodes_[b]->id(); });
-  std::vector<NodeId> sorted_ids(n);
-  for (size_t i = 0; i < n; ++i) {
-    sorted_ids[i] = nodes_[order[i]]->id();
+  std::sort(overlay.nodes.begin(), overlay.nodes.end(),
+            [](const PastryNode* a, const PastryNode* b) { return a->id() < b->id(); });
+  overlay.ids.reserve(n);
+  overlay.hosts.reserve(n);
+  for (const PastryNode* node : overlay.nodes) {
+    overlay.ids.push_back(node->id());
+    overlay.hosts.push_back(node->host());
   }
 
   const int b = config_.bits_per_digit;
   const int digits = 128 / b;
   // Rows beyond log_{2^b}(N)+2 have empty candidate intervals w.h.p.; skip them.
-  const int max_rows =
+  const int rows =
       std::min(digits, static_cast<int>(std::ceil(std::log2(static_cast<double>(n)) / b)) + 2);
-  const size_t half_leaf = static_cast<size_t>(config_.leaf_set_size) / 2;
-
-  for (size_t pos = 0; pos < n; ++pos) {
-    PastryNode& node = *nodes_[order[pos]];
-    // Leaf set: exact ring neighbors from the sorted order.
-    for (size_t k = 1; k <= half_leaf && k < n; ++k) {
-      const size_t cw = (pos + k) % n;
-      const size_t ccw = (pos + n - k) % n;
-      for (size_t neighbor_pos : {cw, ccw}) {
-        PastryNode& other = *nodes_[order[neighbor_pos]];
-        node.Learn(RouteEntry{other.id(), other.host(),
-                              net_->LatencyMs(node.host(), other.host())});
-      }
-    }
-    // Routing table: for each (row, col), pick the proximity-closest of a few sampled
-    // candidates in the matching id interval.
-    const NodeId self = node.id();
-    for (int r = 0; r < max_rows; ++r) {
-      const int shift = 128 - (r + 1) * b;
-      const U128 prefix = r == 0 ? U128(0, 0) : (self >> (128 - r * b)) << (128 - r * b);
-      const uint32_t self_digit = self.Digit(r, b);
-      for (uint32_t c = 0; c < (1u << b); ++c) {
-        if (c == self_digit) {
-          continue;
-        }
-        const U128 lo = prefix | (U128(0, c) << shift);
-        const U128 hi = shift == 0 ? lo : lo | ((U128(0, 1) << shift) - U128(0, 1));
-        auto first = std::lower_bound(sorted_ids.begin(), sorted_ids.end(), lo);
-        if (first == sorted_ids.end() || *first > hi) {
-          continue;
-        }
-        auto last = std::upper_bound(first, sorted_ids.end(), hi);
-        const size_t count = static_cast<size_t>(last - first);
-        // Sample up to 4 candidates; keep the one closest in network proximity.
-        PastryNode* best = nullptr;
-        double best_prox = 0.0;
-        for (int s = 0; s < 4; ++s) {
-          const size_t idx = static_cast<size_t>(first - sorted_ids.begin()) +
-                             (count == 1 ? 0 : rng.NextBelow(count));
-          PastryNode& cand = *nodes_[order[idx]];
-          const double prox = net_->LatencyMs(node.host(), cand.host());
-          if (best == nullptr || prox < best_prox) {
-            best = &cand;
-            best_prox = prox;
-          }
-          if (count == 1) {
-            break;
-          }
-        }
-        node.routing_table().Consider(RouteEntry{best->id(), best->host(), best_prox});
-      }
-    }
+  const LatencyModel& latency = net_->latency_model();
+  if (workers == 1) {
+    InstallRange(overlay, latency, config_, rows, 0, n, rng);
+    return;
   }
+
+  // Worker w owns the sorted positions [range_begin(w), range_begin(w + 1)).
+  const auto range_begin = [n, workers](size_t w) { return n * w / workers; };
+  // Pass 1, serial: make every draw in the canonical order, snapshotting the generator
+  // where each worker's range starts. This leaves `rng` where a one-worker build would.
+  std::vector<Rng> starts;
+  starts.reserve(workers);
+  SlotSampler sampler(overlay.ids, b, rows);
+  for (size_t pos = 0; pos < n; ++pos) {
+    if (starts.size() < workers && pos == range_begin(starts.size())) {
+      starts.push_back(rng);
+    }
+    sampler.Draw(pos, rng, [](const size_t*, size_t) {});
+  }
+  // Pass 2, parallel: each worker replays its range's draws from its snapshot.
+  std::vector<std::jthread> threads;
+  threads.reserve(workers - 1);
+  for (size_t w = 1; w < workers; ++w) {
+    threads.emplace_back([&, w] {
+      InstallRange(overlay, latency, config_, rows, range_begin(w), range_begin(w + 1),
+                   starts[w]);
+    });
+  }
+  InstallRange(overlay, latency, config_, rows, range_begin(0), range_begin(1), starts[0]);
 }
 
 void PastryNetwork::JoinAll() {

@@ -5,10 +5,9 @@
 //    transfer, announce). Faithful but O(N log N) messages — used for protocol tests and
 //    small/medium experiments.
 //  - BuildOracle(): installs the steady-state routing state directly from global
-//    knowledge. Bit-for-bit the state the protocol converges to (leaf sets are exact;
-//    routing-table slots are filled with the proximity-closest matching candidate),
-//    letting 100k-node experiments skip the join phase the paper's testbed also
-//    amortized away.
+//    knowledge: exact leaf sets, and in each routing-table slot the proximity-closest
+//    of up to 4 candidates sampled from the matching id interval. This lets 100k-node
+//    experiments skip the join phase the paper's testbed also amortized away.
 //
 // The class also owns churn helpers (fail a node set, heal) and ground-truth queries
 // (closest live node to a key) used to validate routing correctness in tests.
@@ -45,8 +44,15 @@ class PastryNetwork {
   PastryNode* FindByHost(HostId host);
   PastryNode* FindById(const NodeId& id);
 
-  // Installs converged routing state into every node from global knowledge.
+  // Installs converged routing state into every node from global knowledge, drawing
+  // the routing-table samples from `rng`. Large overlays build on up to
+  // std::thread::hardware_concurrency() workers, which call the network's
+  // LatencyModel concurrently. The installed state, the per-host work and state-byte
+  // accounting, and the end state of `rng` are the same at every worker count.
   void BuildOracle(Rng& rng);
+  // BuildOracle on exactly `workers` threads (clamped to [1, size()]), for tests that
+  // check the worker-count independence.
+  void BuildOracleForTest(Rng& rng, size_t workers);
 
   // Joins all nodes through the protocol, one at a time (first node bootstraps alone).
   // Runs the simulator to quiescence between joins.
@@ -63,6 +69,8 @@ class PastryNetwork {
   const PastryConfig& config() const { return config_; }
 
  private:
+  void BuildOracleOn(Rng& rng, size_t workers);
+
   Network* net_;
   PastryConfig config_;
   std::vector<std::unique_ptr<PastryNode>> nodes_;
