@@ -9,6 +9,7 @@ namespace totoro {
 NeighborhoodSet::NeighborhoodSet(NodeId self, int capacity)
     : self_(self), capacity_(static_cast<size_t>(capacity)) {
   CHECK_GT(capacity, 0);
+  entries_.reserve(capacity_);  // The set's only allocation; Consider never exceeds it.
 }
 
 bool NeighborhoodSet::Consider(const RouteEntry& entry) {
@@ -32,13 +33,14 @@ bool NeighborhoodSet::Consider(const RouteEntry& entry) {
                              [](const RouteEntry& a, const RouteEntry& b) {
                                return a.proximity_ms < b.proximity_ms;
                              });
-  if (entries_.size() >= capacity_ && it == entries_.end()) {
-    return false;
+  const size_t pos = static_cast<size_t>(it - entries_.begin());
+  if (entries_.size() >= capacity_) {
+    if (pos == entries_.size()) {
+      return false;
+    }
+    entries_.pop_back();  // Evict first, so the vector never outgrows its reservation.
   }
-  entries_.insert(it, entry);
-  if (entries_.size() > capacity_) {
-    entries_.pop_back();
-  }
+  entries_.insert(entries_.begin() + static_cast<ptrdiff_t>(pos), entry);
   return true;
 }
 

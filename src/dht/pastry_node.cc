@@ -9,7 +9,8 @@
 namespace totoro {
 namespace {
 
-// State-byte accounting granularity: one table entry's in-memory footprint.
+// State-byte accounting granularity: the modelled per-entry state that Fig 13 reports,
+// not the simulator's own footprint of an entry.
 constexpr int64_t kEntryStateBytes = 48;
 
 Histogram& RouteHopsHistogram() {

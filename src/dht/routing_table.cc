@@ -12,11 +12,14 @@ RoutingTable::RoutingTable(NodeId self, int bits_per_digit) : self_(self), bits_
   row_offset_.assign(static_cast<size_t>(digits()), -1);
 }
 
-std::optional<RouteEntry>* RoutingTable::MaterializeRow(int row) {
-  if (std::optional<RouteEntry>* slots = RowSlots(row); slots != nullptr) {
+RouteEntry* RoutingTable::MaterializeRow(int row) {
+  if (RouteEntry* slots = RowSlots(row); slots != nullptr) {
     return slots;
   }
+  // Grow by exactly one row; resize alone may double the capacity, leaving a 4-row
+  // table with 64 slots and a 5-row one with 128.
   const size_t off = arena_.size();
+  arena_.reserve(off + static_cast<size_t>(columns()));
   arena_.resize(off + static_cast<size_t>(columns()));
   row_offset_[static_cast<size_t>(row)] = static_cast<int32_t>(off);
   if (row < kInlineRows) {
@@ -26,6 +29,7 @@ std::optional<RouteEntry>* RoutingTable::MaterializeRow(int row) {
 }
 
 bool RoutingTable::Consider(const RouteEntry& entry) {
+  CHECK_NE(entry.host, kInvalidHost);  // It would read as an empty slot.
   if (entry.id == self_) {
     return false;
   }
@@ -35,21 +39,21 @@ bool RoutingTable::Consider(const RouteEntry& entry) {
   }
   const uint32_t col = entry.id.Digit(row, bits_);
   DCHECK(col != self_.Digit(row, bits_));
-  auto& slot = MaterializeRow(row)[col];
-  if (!slot.has_value()) {
+  RouteEntry& slot = MaterializeRow(row)[col];
+  if (!Occupied(slot)) {
     slot = entry;
     return true;
   }
-  if (slot->id == entry.id) {
+  if (slot.id == entry.id) {
     // Refresh host/proximity.
-    if (slot->host != entry.host || slot->proximity_ms != entry.proximity_ms) {
+    if (slot.host != entry.host || slot.proximity_ms != entry.proximity_ms) {
       slot = entry;
       return true;
     }
     return false;
   }
   // Prefer the physically closer candidate (Pastry locality heuristic).
-  if (entry.proximity_ms < slot->proximity_ms) {
+  if (entry.proximity_ms < slot.proximity_ms) {
     slot = entry;
     return true;
   }
@@ -61,13 +65,13 @@ bool RoutingTable::Remove(NodeId id) {
   if (row >= digits()) {
     return false;
   }
-  std::optional<RouteEntry>* slots = RowSlots(row);
+  RouteEntry* slots = RowSlots(row);
   if (slots == nullptr) {
     return false;
   }
-  auto& slot = slots[id.Digit(row, bits_)];
-  if (slot.has_value() && slot->id == id) {
-    slot.reset();
+  RouteEntry& slot = slots[id.Digit(row, bits_)];
+  if (Occupied(slot) && slot.id == id) {
+    slot = RouteEntry{};
     return true;
   }
   return false;
@@ -77,8 +81,8 @@ std::optional<RouteEntry> RoutingTable::Get(int row, uint32_t col) const {
   CHECK_GE(row, 0);
   CHECK_LT(row, digits());
   CHECK_LT(col, static_cast<uint32_t>(columns()));
-  const std::optional<RouteEntry>* slots = RowSlots(row);
-  if (slots == nullptr) {
+  const RouteEntry* slots = RowSlots(row);
+  if (slots == nullptr || !Occupied(slots[col])) {
     return std::nullopt;
   }
   return slots[col];
@@ -94,12 +98,12 @@ const RouteEntry* RoutingTable::NextHopPtr(const NodeId& key) const {
   if (row >= digits()) {
     return nullptr;  // key == self.
   }
-  const std::optional<RouteEntry>* slots = RowSlots(row);
+  const RouteEntry* slots = RowSlots(row);
   if (slots == nullptr) {
     return nullptr;
   }
-  const std::optional<RouteEntry>& slot = slots[key.Digit(row, bits_)];
-  return slot.has_value() ? &*slot : nullptr;
+  const RouteEntry& slot = slots[key.Digit(row, bits_)];
+  return Occupied(slot) ? &slot : nullptr;
 }
 
 std::optional<RouteEntry> RoutingTable::CloserFallback(const NodeId& key,
@@ -110,25 +114,25 @@ std::optional<RouteEntry> RoutingTable::CloserFallback(const NodeId& key,
   U128 best_dist = self_dist;
   // Rows below self_prefix hold shorter shared prefixes than we already have.
   for (int row = self_prefix; row < digits(); ++row) {
-    const std::optional<RouteEntry>* slots = RowSlots(row);
+    const RouteEntry* slots = RowSlots(row);
     if (slots == nullptr) {
       continue;
     }
     for (int col = 0; col < columns(); ++col) {
-      const auto& slot = slots[col];
-      if (!slot.has_value()) {
+      const RouteEntry& slot = slots[col];
+      if (!Occupied(slot)) {
         continue;
       }
-      if (alive && !alive(*slot)) {
+      if (alive && !alive(slot)) {
         continue;
       }
-      if (slot->id.CommonPrefixDigits(key, bits_) < self_prefix) {
+      if (slot.id.CommonPrefixDigits(key, bits_) < self_prefix) {
         continue;
       }
-      const U128 d = U128::RingDistance(slot->id, key);
+      const U128 d = U128::RingDistance(slot.id, key);
       if (d < best_dist) {
         best_dist = d;
-        best = *slot;
+        best = slot;
       }
     }
   }
@@ -137,8 +141,8 @@ std::optional<RouteEntry> RoutingTable::CloserFallback(const NodeId& key,
 
 size_t RoutingTable::NumEntries() const {
   size_t n = 0;
-  for (const auto& slot : arena_) {
-    if (slot.has_value()) {
+  for (const RouteEntry& slot : arena_) {
+    if (Occupied(slot)) {
       ++n;
     }
   }
@@ -159,13 +163,13 @@ void RoutingTable::ForEach(const std::function<void(const RouteEntry&)>& fn) con
   // Row-major order (matching iteration before the arena layout): rows may have been
   // materialized out of order, so walk via the offset table.
   for (int row = 0; row < digits(); ++row) {
-    const std::optional<RouteEntry>* slots = RowSlots(row);
+    const RouteEntry* slots = RowSlots(row);
     if (slots == nullptr) {
       continue;
     }
     for (int col = 0; col < columns(); ++col) {
-      if (slots[col].has_value()) {
-        fn(*slots[col]);
+      if (Occupied(slots[col])) {
+        fn(slots[col]);
       }
     }
   }
@@ -176,13 +180,13 @@ std::vector<RouteEntry> RoutingTable::Row(int row) const {
   if (row < 0 || row >= digits()) {
     return out;
   }
-  const std::optional<RouteEntry>* slots = RowSlots(row);
+  const RouteEntry* slots = RowSlots(row);
   if (slots == nullptr) {
     return out;
   }
   for (int col = 0; col < columns(); ++col) {
-    if (slots[col].has_value()) {
-      out.push_back(*slots[col]);
+    if (Occupied(slots[col])) {
+      out.push_back(slots[col]);
     }
   }
   return out;

@@ -49,8 +49,8 @@ class RoutingTable {
   int columns() const { return 1 << bits_; }
   const NodeId& self() const { return self_; }
 
-  // Offers a candidate. Returns true if the table changed. Candidates equal to self or
-  // sharing all digits with self are ignored.
+  // Offers a candidate, which must name a host (not kInvalidHost). Returns true if the
+  // table changed. Candidates equal to self or sharing all digits with self are ignored.
   bool Consider(const RouteEntry& entry);
 
   // Removes a node (e.g. detected failure) from every slot it occupies.
@@ -71,10 +71,10 @@ class RoutingTable {
     if (row >= digits()) {
       return;
     }
-    if (const std::optional<RouteEntry>* slots = RowSlots(row); slots != nullptr) {
-      const std::optional<RouteEntry>* slot = slots + key.Digit(row, bits_);
-      // A slot is larger than a cache line's remainder at most alignments; hint both
-      // lines it can straddle.
+    if (const RouteEntry* slots = RowSlots(row); slots != nullptr) {
+      const RouteEntry* slot = slots + key.Digit(row, bits_);
+      // The arena is only 16-byte aligned, so a 32-byte slot can straddle two cache
+      // lines; hint both.
       PrefetchRead(slot);
       PrefetchRead(reinterpret_cast<const char*>(slot) + sizeof(*slot) - 1);
     }
@@ -103,26 +103,32 @@ class RoutingTable {
   // Slots of row r live at arena_[offset .. offset + columns()), or nowhere when the
   // offset is < 0 (unmaterialized). One arena allocation for all materialized rows
   // keeps the per-hop NextHop lookup to a single indexed load instead of a per-row
-  // vector chase; rows are never unmaterialized, so offsets are stable.
+  // vector chase; rows are never unmaterialized, so offsets are stable. The arena holds
+  // exactly the materialized rows, so materializing one reallocates it: a slot pointer
+  // does not survive Consider.
   int32_t RowOffset(int row) const {
     return row < kInlineRows ? inline_offset_[static_cast<size_t>(row)]
                              : row_offset_[static_cast<size_t>(row)];
   }
-  std::optional<RouteEntry>* RowSlots(int row) {
+  RouteEntry* RowSlots(int row) {
     const int32_t off = RowOffset(row);
     return off < 0 ? nullptr : arena_.data() + off;
   }
-  const std::optional<RouteEntry>* RowSlots(int row) const {
+  const RouteEntry* RowSlots(int row) const {
     const int32_t off = RowOffset(row);
     return off < 0 ? nullptr : arena_.data() + off;
   }
-  std::optional<RouteEntry>* MaterializeRow(int row);
+  RouteEntry* MaterializeRow(int row);
+
+  // A slot is a bare 32-byte RouteEntry; an empty one holds RouteEntry{}, whose host is
+  // kInvalidHost (Consider rejects such candidates).
+  static bool Occupied(const RouteEntry& slot) { return slot.host != kInvalidHost; }
 
   NodeId self_;
   int bits_;
   std::array<int32_t, kInlineRows> inline_offset_;  // Mirror of row_offset_[0..kInlineRows).
   std::vector<int32_t> row_offset_;  // digits() entries; -1 = row not materialized.
-  std::vector<std::optional<RouteEntry>> arena_;
+  std::vector<RouteEntry> arena_;
 };
 
 }  // namespace totoro

@@ -32,6 +32,13 @@ TEST(RoutingTableTest, IgnoresSelf) {
   EXPECT_EQ(rt.NumEntries(), 0u);
 }
 
+// An empty slot is marked by kInvalidHost, so an entry naming it would read as empty.
+TEST(RoutingTableDeathTest, RejectsEntryWithoutHost) {
+  RoutingTable rt(U128::FromHex("ab000000000000000000000000000000"), 4);
+  EXPECT_DEATH(rt.Consider(Entry("cd000000000000000000000000000000", kInvalidHost)),
+               "kInvalidHost");
+}
+
 TEST(RoutingTableTest, PrefersCloserProximityOnConflict) {
   RoutingTable rt(U128::FromHex("ab000000000000000000000000000000"), 4);
   EXPECT_TRUE(rt.Consider(Entry("cd000000000000000000000000000000", 1, 10.0)));

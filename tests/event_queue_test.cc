@@ -16,7 +16,10 @@
 // increment); tests snapshot the counter around the region of interest.
 static std::atomic<uint64_t> g_allocations{0};
 
-void* operator new(size_t size) {
+// All kept out of line: GCC pairs a malloc() or free() it sees inlined at a new- or
+// delete-expression with the operator at the other end and trips
+// -Wmismatched-new-delete.
+[[gnu::noinline]] void* operator new(size_t size) {
   ++g_allocations;
   if (void* p = std::malloc(size)) {
     return p;
@@ -24,12 +27,12 @@ void* operator new(size_t size) {
   throw std::bad_alloc();
 }
 
-void* operator new[](size_t size) { return operator new(size); }
+[[gnu::noinline]] void* operator new[](size_t size) { return operator new(size); }
 
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, size_t) noexcept { std::free(p); }
-void operator delete[](void* p, size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p, size_t) noexcept { std::free(p); }
 
 namespace totoro {
 namespace {
