@@ -22,9 +22,10 @@ Timing MeasureTree(size_t n, int bits_per_digit, uint64_t seed, double latency_l
                    double latency_hi = 40.0) {
   PastryConfig pastry_config;
   pastry_config.bits_per_digit = bits_per_digit;
-  // Hop-latency regime: no bandwidth modelling, so times reflect path lengths.
+  // Hop-latency regime: no bandwidth modelling, so times reflect path lengths. The
+  // engine honors TOTORO_SIM_SHARDS; CI gates K=4 against the K=1 baseline.
   bench::Stack stack(n, seed, pastry_config, ScribeConfig{}, /*model_bandwidth=*/false,
-                     latency_lo, latency_hi);
+                     latency_lo, latency_hi, MakeSimulatorFromEnv());
   const NodeId topic = stack.forest->CreateTopic("fig6");
   stack.forest->SubscribeAll(topic, stack.AllNodes());
   const auto stats = stack.forest->ComputeStats(topic);

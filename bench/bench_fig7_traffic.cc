@@ -26,7 +26,9 @@ TrafficResult MeasureTotoro(int num_trees, double window_ms) {
   ScribeConfig scribe_config;
   scribe_config.enable_tree_repair = true;
   scribe_config.parent_heartbeat_ms = 500.0;
-  bench::Stack stack(300, 70, pastry_config, scribe_config, /*model_bandwidth=*/false);
+  // The engine honors TOTORO_SIM_SHARDS; CI gates K=4 against the K=1 baseline.
+  bench::Stack stack(300, 70, pastry_config, scribe_config, /*model_bandwidth=*/false,
+                     /*latency_lo=*/2.0, /*latency_hi=*/40.0, MakeSimulatorFromEnv());
   for (size_t i = 0; i < stack.pastry->size(); ++i) {
     stack.pastry->node(i).StartKeepAlive();
   }
@@ -85,7 +87,8 @@ BatchArmResult MeasureBatchingArm(WireBatchConfig::Mode mode, double window_ms) 
   scribe_config.parent_heartbeat_ms = 500.0;
   scribe_config.batch.mode = mode;
   scribe_config.batch.window_ms = 0.0;  // Same-tick sends coalesce; timings unchanged.
-  bench::Stack stack(300, 72, PastryConfig{}, scribe_config, /*model_bandwidth=*/false);
+  bench::Stack stack(300, 72, PastryConfig{}, scribe_config, /*model_bandwidth=*/false,
+                     /*latency_lo=*/2.0, /*latency_hi=*/40.0, MakeSimulatorFromEnv());
   stack.forest->StartMaintenance();
   Rng pick(73);
   const auto members = stack.RandomNodes(40, pick);

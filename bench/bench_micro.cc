@@ -19,17 +19,18 @@ void BM_Schedule(benchmark::State& state) {
   EventQueue q;
   q.Reserve(1024);
   SimTime t = 0.0;
+  uint64_t key = 0;
   uint64_t sink = 0;
   // Keep 512 events pending so sift paths see a realistic tree depth.
   for (int i = 0; i < 512; ++i) {
-    q.Push(t + static_cast<SimTime>(i % 97), [&sink]() { ++sink; });
+    q.Push(t + static_cast<SimTime>(i % 97), ++key, 0, [&sink]() { ++sink; });
   }
   SimTime at = 0.0;
   for (auto _ : state) {
     t += 1.0;
     char payload[48] = {};
     payload[0] = static_cast<char>(t);
-    q.Push(t + static_cast<SimTime>(static_cast<int>(t) % 97),
+    q.Push(t + static_cast<SimTime>(static_cast<int>(t) % 97), ++key, 0,
            [&sink, payload]() { sink += 1 + 0 * static_cast<uint64_t>(payload[0]); });
     q.PopAndRun(&at);
   }
@@ -44,12 +45,13 @@ void BM_CancelChurn(benchmark::State& state) {
   EventQueue q;
   q.Reserve(64);
   SimTime t = 0.0;
+  uint64_t key = 0;
   uint64_t fired = 0;
   SimTime at = 0.0;
   for (auto _ : state) {
     t += 1.0;
-    EventHandle timeout = q.Push(t + 100.0, [&fired]() { ++fired; });
-    q.Push(t, [&fired]() { ++fired; });
+    EventHandle timeout = q.Push(t + 100.0, ++key, 0, [&fired]() { ++fired; });
+    q.Push(t, ++key, 0, [&fired]() { ++fired; });
     benchmark::DoNotOptimize(timeout.Cancel());
     q.PopAndRun(&at);  // Runs the live event; the dead one is skipped when surfaced.
   }
@@ -64,12 +66,14 @@ void BM_PopNextMove(benchmark::State& state) {
   EventQueue q;
   q.Reserve(16);
   SimTime at = 0.0;
+  uint32_t exec_host = 0;
+  uint64_t key = 0;
   uint64_t sink = 0;
   auto buffer = std::make_unique<uint64_t[]>(8);
   for (auto _ : state) {
-    q.Push(1.0, [&sink, p = buffer.get()]() { sink += p[0]; });
+    q.Push(1.0, ++key, 0, [&sink, p = buffer.get()]() { sink += p[0]; });
     EventFn fn;
-    benchmark::DoNotOptimize(q.PopNext(&at, &fn));
+    benchmark::DoNotOptimize(q.PopNext(&at, &exec_host, &fn));
     fn();
   }
   benchmark::DoNotOptimize(sink);

@@ -5,8 +5,8 @@
 // at the O(log_{2^b} N) bound; the printed throughput is the number EXPERIMENTS.md
 // tracks for the simulator hot path at scale.
 //
-// Engine selection: TOTORO_SIM_SHARDS=1 (default) runs the single-queue engine;
-// K > 1 runs the identical workload on K shards behind the conservative barrier.
+// Engine selection: TOTORO_SIM_SHARDS=1 (default) runs one shard inline on the main
+// thread; K > 1 runs the identical workload on K shards behind the conservative barrier.
 // Routes launch in staggered groups so thousands of lookups are in flight at once —
 // that in-flight concurrency is what the sharded engine spreads across workers — and
 // the route_stats fingerprint (delivered / hops / events) is the same for every K,
@@ -23,7 +23,7 @@
 #include "src/obs/export.h"
 #include "src/obs/metrics_registry.h"
 #include "src/obs/profiler.h"
-#include "src/sim/sharded_sim.h"
+#include "src/sim/simulator.h"
 
 namespace totoro {
 namespace {

@@ -26,10 +26,10 @@ namespace bench {
 
 // A complete Totoro stack on a uniform-latency WAN.
 //
-// The engine defaults to the single-threaded Simulator; pass `custom_sim` (e.g.
-// MakeSimulatorFromEnv(), which honors TOTORO_SIM_SHARDS) to run the same stack on the
-// sharded engine. The constructor wires the conservative-barrier lookahead from the
-// latency model unconditionally — a no-op on the default engine.
+// The engine defaults to Simulator() — one shard, run inline on the calling thread;
+// pass `custom_sim` (e.g. MakeSimulatorFromEnv(), which honors TOTORO_SIM_SHARDS) to
+// run the same stack on K shards. The constructor wires the conservative-barrier
+// lookahead from the latency model unconditionally; only K > 1 uses it.
 struct Stack {
   std::unique_ptr<Simulator> sim_owner;
   Simulator& sim;

@@ -14,14 +14,15 @@
 //   TOTORO_PROFILE         >= 1 enables the phase profiler  (src/obs/profiler.cc)
 //   TOTORO_BENCH_REPORT_DIR  BENCH_*.json output dir, default "."; "off" disables
 //                                                           (src/obs/bench_report.cc)
-//   TOTORO_SIMD            kernel dispatch level: scalar/unrolled/sse2/avx2/neon;
-//                          default = best the CPU supports. All levels are
+//   TOTORO_SIMD            kernel dispatch level: scalar/sse2/avx2/neon; default =
+//                          best the CPU supports, and so is a known level it lacks;
+//                          any other value CHECK-fails. All levels are
 //                          bit-identical, so this only affects speed.
 //                                                           (src/ml/kernels.cc)
-//   TOTORO_SIM_SHARDS      simulator shard count for MakeSimulatorFromEnv, >= 1;
-//                          1 (default) = the single-threaded engine, K > 1 = K
-//                          worker shards behind the conservative barrier. All K
-//                          produce bit-identical exports (src/sim/sharded_sim.cc)
+//   TOTORO_SIM_SHARDS      simulator shard count K for MakeSimulatorFromEnv, >= 1;
+//                          1 (default) runs inline on the calling thread, K > 1 on
+//                          K worker shards behind the conservative barrier. All K
+//                          produce bit-identical exports (src/sim/simulator.cc)
 #ifndef SRC_COMMON_ENV_H_
 #define SRC_COMMON_ENV_H_
 

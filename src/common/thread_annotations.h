@@ -1,7 +1,7 @@
 // Clang thread-safety annotations + an annotated Mutex/CondVar wrapper.
 //
 // The repo's concurrency surface is deliberately small — the ComputePool's task
-// queue, the ShardedSimulator's window barrier, and the bench runner's error slot —
+// queue, the simulator's K>1 window barrier, and the bench runner's error slot —
 // but PR 9's thread-locality bug sweep showed that "small" is not "safe by
 // inspection". These macros attach the lock discipline to the code itself so Clang's
 // -Wthread-safety analysis (enabled whenever the compiler is Clang; promoted to an

@@ -386,8 +386,8 @@ void PastryNode::StartKeepAlive() {
   }
   keepalive_running_ = true;
   // Establish this node as the scheduling identity so the timer (and every reschedule
-  // from inside the tick) lands on this host's shard under the sharded engine. A no-op
-  // identity on the single-queue engine.
+  // from inside the tick) joins this host's canonical event stream and, at K>1, lands
+  // on its shard.
   net_->sim()->RunAsHost(host_, [this] {
     net_->sim()->Schedule(config_.keepalive_interval_ms, [this]() { KeepAliveTick(); });
   });

@@ -6,6 +6,7 @@
 #include <cstring>
 #include <string>
 
+#include "src/common/check.h"
 #include "src/common/env.h"
 
 #if defined(__x86_64__) || defined(_M_X64)
@@ -93,176 +94,6 @@ void Div(float* x, float denom, size_t n) {
 }
 
 }  // namespace scalar
-
-// ---- Portable 8-wide unrolled fallback -----------------------------------------
-// Same elementwise expressions, unrolled so compilers without good vector cost models
-// still pipeline the loop. Bit-identical to scalar by construction.
-
-namespace unrolled {
-
-void Axpy(float alpha, const float* x, float* y, size_t n) {
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    y[i + 0] += alpha * x[i + 0];
-    y[i + 1] += alpha * x[i + 1];
-    y[i + 2] += alpha * x[i + 2];
-    y[i + 3] += alpha * x[i + 3];
-    y[i + 4] += alpha * x[i + 4];
-    y[i + 5] += alpha * x[i + 5];
-    y[i + 6] += alpha * x[i + 6];
-    y[i + 7] += alpha * x[i + 7];
-  }
-  for (; i < n; ++i) {
-    y[i] += alpha * x[i];
-  }
-}
-
-void Axpy4(const float alpha[4], const float* x0, const float* x1, const float* x2,
-           const float* x3, float* y, size_t n) {
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    for (size_t j = 0; j < 4; ++j) {
-      float acc = y[i + j];
-      acc += alpha[0] * x0[i + j];
-      acc += alpha[1] * x1[i + j];
-      acc += alpha[2] * x2[i + j];
-      acc += alpha[3] * x3[i + j];
-      y[i + j] = acc;
-    }
-  }
-  for (; i < n; ++i) {
-    float acc = y[i];
-    acc += alpha[0] * x0[i];
-    acc += alpha[1] * x1[i];
-    acc += alpha[2] * x2[i];
-    acc += alpha[3] * x3[i];
-    y[i] = acc;
-  }
-}
-
-void AxpyI8(float alpha, const int8_t* q, float* y, size_t n) {
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    y[i + 0] += alpha * static_cast<float>(q[i + 0]);
-    y[i + 1] += alpha * static_cast<float>(q[i + 1]);
-    y[i + 2] += alpha * static_cast<float>(q[i + 2]);
-    y[i + 3] += alpha * static_cast<float>(q[i + 3]);
-    y[i + 4] += alpha * static_cast<float>(q[i + 4]);
-    y[i + 5] += alpha * static_cast<float>(q[i + 5]);
-    y[i + 6] += alpha * static_cast<float>(q[i + 6]);
-    y[i + 7] += alpha * static_cast<float>(q[i + 7]);
-  }
-  for (; i < n; ++i) {
-    y[i] += alpha * static_cast<float>(q[i]);
-  }
-}
-
-void ScaleK(float* x, float alpha, size_t n) {
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    x[i + 0] *= alpha;
-    x[i + 1] *= alpha;
-    x[i + 2] *= alpha;
-    x[i + 3] *= alpha;
-    x[i + 4] *= alpha;
-    x[i + 5] *= alpha;
-    x[i + 6] *= alpha;
-    x[i + 7] *= alpha;
-  }
-  for (; i < n; ++i) {
-    x[i] *= alpha;
-  }
-}
-
-void Relu(float* x, size_t n) {
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    x[i + 0] = std::max(x[i + 0], 0.0f);
-    x[i + 1] = std::max(x[i + 1], 0.0f);
-    x[i + 2] = std::max(x[i + 2], 0.0f);
-    x[i + 3] = std::max(x[i + 3], 0.0f);
-    x[i + 4] = std::max(x[i + 4], 0.0f);
-    x[i + 5] = std::max(x[i + 5], 0.0f);
-    x[i + 6] = std::max(x[i + 6], 0.0f);
-    x[i + 7] = std::max(x[i + 7], 0.0f);
-  }
-  for (; i < n; ++i) {
-    x[i] = std::max(x[i], 0.0f);
-  }
-}
-
-void ReluMask(const float* act, float* grad, size_t n) {
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    for (size_t j = 0; j < 8; ++j) {
-      // Branch-free form of the scalar mask (same result for every input, NaN incl.).
-      grad[i + j] = act[i + j] <= 0.0f ? 0.0f : grad[i + j];
-    }
-  }
-  for (; i < n; ++i) {
-    grad[i] = act[i] <= 0.0f ? 0.0f : grad[i];
-  }
-}
-
-void Lerp(float* w, const float* p, float alpha, size_t n) {
-  const float one_minus = 1.0f - alpha;
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    for (size_t j = 0; j < 8; ++j) {
-      w[i + j] = one_minus * w[i + j] + alpha * p[i + j];
-    }
-  }
-  for (; i < n; ++i) {
-    w[i] = one_minus * w[i] + alpha * p[i];
-  }
-}
-
-float MaxK(const float* x, size_t n) {
-  // Eight independent accumulator lanes, reduced pairwise at the end. max is exact
-  // under any association, so this matches the sequential scalar result.
-  if (n < 8) {
-    return scalar::MaxK(x, n);
-  }
-  float m0 = x[0];
-  float m1 = x[1];
-  float m2 = x[2];
-  float m3 = x[3];
-  float m4 = x[4];
-  float m5 = x[5];
-  float m6 = x[6];
-  float m7 = x[7];
-  size_t i = 8;
-  for (; i + 8 <= n; i += 8) {
-    m0 = std::max(m0, x[i + 0]);
-    m1 = std::max(m1, x[i + 1]);
-    m2 = std::max(m2, x[i + 2]);
-    m3 = std::max(m3, x[i + 3]);
-    m4 = std::max(m4, x[i + 4]);
-    m5 = std::max(m5, x[i + 5]);
-    m6 = std::max(m6, x[i + 6]);
-    m7 = std::max(m7, x[i + 7]);
-  }
-  float m = std::max(std::max(std::max(m0, m1), std::max(m2, m3)),
-                     std::max(std::max(m4, m5), std::max(m6, m7)));
-  for (; i < n; ++i) {
-    m = std::max(m, x[i]);
-  }
-  return m;
-}
-
-void Div(float* x, float denom, size_t n) {
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    for (size_t j = 0; j < 8; ++j) {
-      x[i + j] /= denom;
-    }
-  }
-  for (; i < n; ++i) {
-    x[i] /= denom;
-  }
-}
-
-}  // namespace unrolled
 
 #if defined(TOTORO_KERNELS_X86)
 
@@ -721,11 +552,6 @@ constexpr KernelTable kScalarTable = {scalar::Axpy,     scalar::Axpy4,
                                       scalar::AxpyI8,   scalar::ScaleK,
                                       scalar::Relu,     scalar::ReluMask,
                                       scalar::Lerp,     scalar::MaxK,   scalar::Div};
-constexpr KernelTable kUnrolledTable = {unrolled::Axpy, unrolled::Axpy4,
-                                        unrolled::AxpyI8,
-                                        unrolled::ScaleK, unrolled::Relu,
-                                        unrolled::ReluMask, unrolled::Lerp,
-                                        unrolled::MaxK, unrolled::Div};
 #if defined(TOTORO_KERNELS_X86)
 constexpr KernelTable kSse2Table = {sse2::Axpy,     sse2::Axpy4,
                                     sse2::AxpyI8,   sse2::ScaleK,
@@ -747,8 +573,6 @@ const KernelTable* TableFor(SimdLevel level) {
   switch (level) {
     case SimdLevel::kScalar:
       return &kScalarTable;
-    case SimdLevel::kUnrolled:
-      return &kUnrolledTable;
 #if defined(TOTORO_KERNELS_X86)
     case SimdLevel::kSse2:
       return &kSse2Table;
@@ -760,14 +584,13 @@ const KernelTable* TableFor(SimdLevel level) {
       return &kNeonTable;
 #endif
     default:
-      return &kUnrolledTable;
+      return &kScalarTable;
   }
 }
 
 bool LevelSupported(SimdLevel level) {
   switch (level) {
     case SimdLevel::kScalar:
-    case SimdLevel::kUnrolled:
       return true;
 #if defined(TOTORO_KERNELS_X86)
     case SimdLevel::kSse2:
@@ -793,29 +616,8 @@ SimdLevel BestSupportedLevel() {
 #elif defined(TOTORO_KERNELS_NEON)
   return SimdLevel::kNeon;
 #else
-  return SimdLevel::kUnrolled;
+  return SimdLevel::kScalar;
 #endif
-}
-
-SimdLevel ResolveStartupLevel() {
-  const char* env = EnvString("TOTORO_SIMD");
-  if (env == nullptr) {
-    return BestSupportedLevel();
-  }
-  const std::string v(env);
-  SimdLevel wanted = BestSupportedLevel();
-  if (v == "scalar") {
-    wanted = SimdLevel::kScalar;
-  } else if (v == "unrolled") {
-    wanted = SimdLevel::kUnrolled;
-  } else if (v == "sse2") {
-    wanted = SimdLevel::kSse2;
-  } else if (v == "avx2") {
-    wanted = SimdLevel::kAvx2;
-  } else if (v == "neon") {
-    wanted = SimdLevel::kNeon;
-  }
-  return LevelSupported(wanted) ? wanted : BestSupportedLevel();
 }
 
 // The active table. Resolved on first use; SetSimdLevelForTest swaps it (tests only —
@@ -829,7 +631,7 @@ const KernelTable* ActiveTable() {
   if (t != nullptr) {
     return t;
   }
-  const SimdLevel level = ResolveStartupLevel();
+  const SimdLevel level = ResolveSimdLevelFromEnv();
   g_level.store(static_cast<int>(level), std::memory_order_relaxed);
   const KernelTable* resolved = TableFor(level);
   g_table.store(resolved, std::memory_order_release);
@@ -842,8 +644,6 @@ const char* SimdLevelName(SimdLevel level) {
   switch (level) {
     case SimdLevel::kScalar:
       return "scalar";
-    case SimdLevel::kUnrolled:
-      return "unrolled";
     case SimdLevel::kSse2:
       return "sse2";
     case SimdLevel::kAvx2:
@@ -861,13 +661,35 @@ SimdLevel ActiveSimdLevel() {
 
 std::vector<SimdLevel> SupportedSimdLevels() {
   std::vector<SimdLevel> out;
-  for (SimdLevel level : {SimdLevel::kScalar, SimdLevel::kUnrolled, SimdLevel::kSse2,
-                          SimdLevel::kAvx2, SimdLevel::kNeon}) {
+  for (SimdLevel level :
+       {SimdLevel::kScalar, SimdLevel::kSse2, SimdLevel::kAvx2, SimdLevel::kNeon}) {
     if (LevelSupported(level)) {
       out.push_back(level);
     }
   }
   return out;
+}
+
+SimdLevel ResolveSimdLevelFromEnv() {
+  const char* env = EnvString("TOTORO_SIMD");
+  if (env == nullptr) {
+    return BestSupportedLevel();
+  }
+  const std::string v(env);
+  SimdLevel wanted = SimdLevel::kScalar;
+  if (v == "scalar") {
+    wanted = SimdLevel::kScalar;
+  } else if (v == "sse2") {
+    wanted = SimdLevel::kSse2;
+  } else if (v == "avx2") {
+    wanted = SimdLevel::kAvx2;
+  } else if (v == "neon") {
+    wanted = SimdLevel::kNeon;
+  } else {
+    CheckFailed(__FILE__, __LINE__,
+                "unknown TOTORO_SIMD value; accepted: scalar, sse2, avx2, neon");
+  }
+  return LevelSupported(wanted) ? wanted : BestSupportedLevel();
 }
 
 SimdLevel SetSimdLevelForTest(SimdLevel level) {

@@ -13,9 +13,9 @@
 // row max IS vectorized because max is exact under any association.
 //
 // Dispatch is resolved once at startup: highest level the CPU supports, overridable
-// with the TOTORO_SIMD env knob (scalar|unrolled|sse2|avx2|neon|native) or
-// SetSimdLevelForTest(). Because all levels are bit-identical, the choice never
-// affects simulation results — only wall-clock speed.
+// with the TOTORO_SIMD env knob (scalar|sse2|avx2|neon) or SetSimdLevelForTest().
+// Because all levels are bit-identical, the choice never affects simulation results —
+// only wall-clock speed.
 #ifndef SRC_ML_KERNELS_H_
 #define SRC_ML_KERNELS_H_
 
@@ -26,11 +26,10 @@
 namespace totoro {
 
 enum class SimdLevel : int {
-  kScalar = 0,    // Plain loops (also the semantic reference).
-  kUnrolled = 1,  // Portable 8-wide unrolled scalar fallback.
-  kSse2 = 2,      // x86-64 baseline 4-wide.
-  kAvx2 = 3,      // 8-wide, runtime-detected.
-  kNeon = 4,      // aarch64 baseline 4-wide.
+  kScalar = 0,  // Plain loops (also the semantic reference and the fallback ISA).
+  kSse2 = 1,    // x86-64 baseline 4-wide.
+  kAvx2 = 2,    // 8-wide, runtime-detected.
+  kNeon = 3,    // aarch64 baseline 4-wide.
 };
 
 const char* SimdLevelName(SimdLevel level);
@@ -39,8 +38,13 @@ const char* SimdLevelName(SimdLevel level);
 SimdLevel ActiveSimdLevel();
 
 // Every level this build + CPU can execute, in ascending order (always starts with
-// kScalar and kUnrolled). Parity tests sweep this list.
+// kScalar). Parity tests sweep this list.
 std::vector<SimdLevel> SupportedSimdLevels();
+
+// The level TOTORO_SIMD selects, read now: unset = the best level the CPU supports; a
+// known level the CPU lacks clamps to that best level; any other value CHECK-fails
+// with the accepted values. The dispatch table resolves through this on first use.
+SimdLevel ResolveSimdLevelFromEnv();
 
 // Forces a dispatch level (clamped to supported ones; returns the level actually
 // installed). Pass ActiveSimdLevel()'s saved value to restore. Not thread-safe

@@ -57,11 +57,6 @@ std::unique_ptr<Model> MakeMlp(const std::string& name, int input_dim, int hidde
 std::unique_ptr<Model> MakeSoftmaxRegression(const std::string& name, int input_dim,
                                              int num_classes, uint64_t init_seed);
 
-// 1-D convolutional classifier: conv(kernel, filters) -> ReLU -> global average pooling
-// -> dense softmax. Structurally closest to the paper's audio models.
-std::unique_ptr<Model> MakeConv1d(const std::string& name, int input_len, int filters,
-                                  int kernel, int num_classes, uint64_t seed);
-
 // Named proxies for the paper's models. Parameter counts are scaled-down stand-ins; the
 // relative size ordering (ResNet-34 proxy > ShuffleNet V2 proxy > feedforward text
 // model) is preserved so compute/communication cost ratios carry over.

@@ -197,6 +197,13 @@ class Tracer {
       spans_.push_back(std::move(s));
     }
   }
+  // Exchanges the open-scope stack and the span sink with `*scope` / `*spans`. The
+  // single-shard simulator runs host events on the calling thread; swapping in their
+  // own stack and sink gives them exactly what a shard worker's tracer would see.
+  void SwapScopeAndSpans(std::vector<TraceContext>* scope, std::vector<SpanRecord>* spans) {
+    scope_.swap(*scope);
+    spans_.swap(*spans);
+  }
   void EmitSpan(TraceContext ctx, uint64_t parent_span_id, const char* name,
                 const char* category, uint32_t host, double start_ms, double end_ms,
                 TraceArgs args = {});

@@ -38,7 +38,7 @@ uint32_t EventQueue::AcquireSlot() {
     slab.slots[slot].next_free = internal::kNilSlot;
     return slot;
   }
-  CHECK_LT(slab.slots.size(), static_cast<size_t>(kSlotMask));
+  CHECK_LT(slab.slots.size(), static_cast<size_t>(UINT32_MAX));
   slab.slots.emplace_back();
   return static_cast<uint32_t>(slab.slots.size() - 1);
 }
@@ -90,123 +90,7 @@ void EventQueue::SiftDown(size_t i) {
   heap_[i] = entry;
 }
 
-EventHandle EventQueue::Push(SimTime at, EventFn fn) {
-  const uint32_t slot = AcquireSlot();
-  internal::EventSlot& s = slab_->slots[slot];
-  s.fn = std::move(fn);
-  const uint64_t seq = next_seq_++;
-  CHECK_LT(seq, kMaxSeq);
-  heap_.push_back(HeapEntry{at, (seq << kSlotBits) | slot});
-  SiftUp(heap_.size() - 1);
-  return EventHandle(slab_, slot, s.generation);
-}
-
-SimTime EventQueue::NextTime() const {
-  CHECK(!heap_.empty());
-  return heap_[0].at;
-}
-
-bool EventQueue::PopNext(SimTime* at, EventFn* fn) {
-  while (!heap_.empty()) {
-    const HeapEntry top = heap_[0];
-    heap_[0] = heap_.back();
-    heap_.pop_back();
-    if (!heap_.empty()) {
-      SiftDown(0);
-    }
-    const uint32_t slot = static_cast<uint32_t>(top.key & kSlotMask);
-    internal::EventSlot& s = slab_->slots[slot];
-    const bool cancelled = s.cancelled;
-    if (!cancelled) {
-      *at = top.at;
-      *fn = std::move(s.fn);
-    }
-    ReleaseSlot(slot);
-    if (!cancelled) {
-      return true;
-    }
-  }
-  return false;
-}
-
-bool EventQueue::PopAndRun(SimTime* fired_at) {
-  SimTime at = 0;
-  EventFn fn;
-  if (!PopNext(&at, &fn)) {
-    return false;
-  }
-  if (fired_at != nullptr) {
-    *fired_at = at;
-  }
-  fn();
-  return true;
-}
-
-void EventQueue::Reserve(size_t n) {
-  heap_.reserve(n);
-  slab_->slots.reserve(n);
-}
-
-uint32_t KeyedEventQueue::AcquireSlot() {
-  internal::EventSlab& slab = *slab_;
-  if (slab.free_head != internal::kNilSlot) {
-    const uint32_t slot = slab.free_head;
-    slab.free_head = slab.slots[slot].next_free;
-    slab.slots[slot].next_free = internal::kNilSlot;
-    return slot;
-  }
-  CHECK_LT(slab.slots.size(), static_cast<size_t>(UINT32_MAX));
-  slab.slots.emplace_back();
-  return static_cast<uint32_t>(slab.slots.size() - 1);
-}
-
-void KeyedEventQueue::ReleaseSlot(uint32_t slot) {
-  internal::EventSlot& s = slab_->slots[slot];
-  s.fn.Reset();
-  s.cancelled = false;
-  ++s.generation;
-  s.next_free = slab_->free_head;
-  slab_->free_head = slot;
-}
-
-void KeyedEventQueue::SiftUp(size_t i) {
-  HeapEntry entry = heap_[i];
-  while (i > 0) {
-    const size_t parent = (i - 1) / 4;
-    if (!Earlier(entry, heap_[parent])) {
-      break;
-    }
-    heap_[i] = heap_[parent];
-    i = parent;
-  }
-  heap_[i] = entry;
-}
-
-void KeyedEventQueue::SiftDown(size_t i) {
-  const size_t n = heap_.size();
-  HeapEntry entry = heap_[i];
-  while (true) {
-    const size_t first_child = 4 * i + 1;
-    if (first_child >= n) {
-      break;
-    }
-    size_t best = first_child;
-    const size_t last_child = std::min(first_child + 4, n);
-    for (size_t c = first_child + 1; c < last_child; ++c) {
-      if (Earlier(heap_[c], heap_[best])) {
-        best = c;
-      }
-    }
-    if (!Earlier(heap_[best], entry)) {
-      break;
-    }
-    heap_[i] = heap_[best];
-    i = best;
-  }
-  heap_[i] = entry;
-}
-
-EventHandle KeyedEventQueue::Push(SimTime at, uint64_t key, uint32_t exec_host, EventFn fn) {
+EventHandle EventQueue::Push(SimTime at, uint64_t key, uint32_t exec_host, EventFn fn) {
   const uint32_t slot = AcquireSlot();
   internal::EventSlot& s = slab_->slots[slot];
   s.fn = std::move(fn);
@@ -215,19 +99,25 @@ EventHandle KeyedEventQueue::Push(SimTime at, uint64_t key, uint32_t exec_host, 
   return EventHandle(slab_, slot, s.generation);
 }
 
-SimTime KeyedEventQueue::NextTime() const {
-  CHECK(!heap_.empty());
-  return heap_[0].at;
+bool EventQueue::PeekTime(SimTime* at) {
+  while (!heap_.empty()) {
+    const uint32_t slot = heap_[0].slot;
+    if (!slab_->slots[slot].cancelled) {
+      *at = heap_[0].at;
+      return true;
+    }
+    RemoveTop();
+    ReleaseSlot(slot);
+  }
+  return false;
 }
 
-bool KeyedEventQueue::PopNext(SimTime* at, uint32_t* exec_host, EventFn* fn) {
-  while (!heap_.empty()) {
+bool EventQueue::PopNext(SimTime* at, uint32_t* exec_host, EventFn* fn, SimTime end) {
+  // A cancelled front is dropped on the way, so it can never let a later event slip
+  // past `end`.
+  while (!heap_.empty() && heap_[0].at < end) {
     const HeapEntry top = heap_[0];
-    heap_[0] = heap_.back();
-    heap_.pop_back();
-    if (!heap_.empty()) {
-      SiftDown(0);
-    }
+    RemoveTop();
     internal::EventSlot& s = slab_->slots[top.slot];
     const bool cancelled = s.cancelled;
     if (!cancelled) {
@@ -243,7 +133,29 @@ bool KeyedEventQueue::PopNext(SimTime* at, uint32_t* exec_host, EventFn* fn) {
   return false;
 }
 
-void KeyedEventQueue::Reserve(size_t n) {
+void EventQueue::RemoveTop() {
+  heap_[0] = heap_.back();
+  heap_.pop_back();
+  if (!heap_.empty()) {
+    SiftDown(0);
+  }
+}
+
+bool EventQueue::PopAndRun(SimTime* fired_at) {
+  SimTime at = 0;
+  uint32_t exec_host = 0;
+  EventFn fn;
+  if (!PopNext(&at, &exec_host, &fn)) {
+    return false;
+  }
+  if (fired_at != nullptr) {
+    *fired_at = at;
+  }
+  fn();
+  return true;
+}
+
+void EventQueue::Reserve(size_t n) {
   heap_.reserve(n);
   slab_->slots.reserve(n);
 }

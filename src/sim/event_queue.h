@@ -1,29 +1,33 @@
 // Priority event queue for the discrete-event simulator.
 //
-// Events fire in (time, sequence) order; the sequence number breaks ties FIFO so runs
-// are deterministic regardless of heap implementation details. The implementation is
-// allocation-free in steady state:
+// Events fire in (time, key) order. The simulator gives every event a canonical 64-bit
+// key — (origin, per-origin sequence) packed, see simulator.h — so a queue's pop order
+// is a pure function of the event population, never of push order or shard count. Keys
+// are unique by construction, so (at, key) is a strict total order with no ties left
+// to break. Each entry also carries the host the event executes AS (`exec_host`); the
+// run loop re-establishes that identity before invoking the callback.
+//
+// The implementation is allocation-free in steady state:
 //
 //  - Callbacks live in a free-list slab of EventSlot records; scheduling acquires a
 //    slot (reusing a freed one when available), firing releases it. The callback is an
 //    EventFn (see event_fn.h), so captures up to EventFn::kInlineSize bytes never touch
-//    the heap and popping MOVES the callback out of the slab — the old implementation
-//    deep-copied a std::function (and its control block) per pop.
+//    the heap and popping MOVES the callback out of the slab.
 //  - Cancellation is a (slot, generation) handle resolved against the slab: O(1), no
 //    per-event shared_ptr<bool>. The generation counter bumps every time a slot is
 //    released, so a stale handle (event already fired or skipped) can never cancel the
 //    slot's next tenant. Handles stay safe after the queue itself dies — they hold a
 //    weak_ptr to the slab (one allocation per QUEUE, not per event).
-//  - The heap is an explicit 4-ary heap over 16-byte (time, seq|slot) keys. Sift
-//    operations on 16-byte PODs touch 4x fewer cache lines than the previous
-//    std::priority_queue of 64-byte Events, and a 4-ary layout halves the tree depth.
+//  - The heap is an explicit 4-ary heap over 24-byte (time, key, slot, exec_host)
+//    entries: sift operations move small PODs, and a 4-ary layout halves the depth.
 //
-// Cancelled events are skipped lazily at pop time (their heap key stays until it
-// surfaces), so Size() counts cancelled-but-unpopped events, exactly like before.
+// Cancelled events are dropped lazily when they surface at the front (PeekTime/PopNext),
+// so Size() counts cancelled-but-unpopped events.
 #ifndef SRC_SIM_EVENT_QUEUE_H_
 #define SRC_SIM_EVENT_QUEUE_H_
 
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -32,6 +36,7 @@
 namespace totoro {
 
 using SimTime = double;  // Virtual milliseconds.
+inline constexpr SimTime kNever = std::numeric_limits<SimTime>::infinity();
 
 namespace internal {
 
@@ -70,7 +75,6 @@ class EventHandle {
 
  private:
   friend class EventQueue;
-  friend class KeyedEventQueue;
   EventHandle(std::weak_ptr<internal::EventSlab> slab, uint32_t slot, uint32_t generation)
       : slab_(std::move(slab)), slot_(slot), generation_(generation) {}
 
@@ -85,17 +89,20 @@ class EventQueue {
   EventQueue(const EventQueue&) = delete;
   EventQueue& operator=(const EventQueue&) = delete;
 
-  EventHandle Push(SimTime at, EventFn fn);
+  EventHandle Push(SimTime at, uint64_t key, uint32_t exec_host, EventFn fn);
 
   bool Empty() const { return heap_.empty(); }
   size_t Size() const { return heap_.size(); }
-  SimTime NextTime() const;
 
-  // Pops the earliest non-cancelled event into (*at, *fn) without running it, so the
-  // caller can advance its clock before invoking. The callback is MOVED out of the
-  // slab, never copied. Returns false if the queue was exhausted (only cancelled
-  // events remained).
-  bool PopNext(SimTime* at, EventFn* fn);
+  // Discards cancelled events at the front, then reports the earliest live event's
+  // time. Returns false when no live event remains.
+  bool PeekTime(SimTime* at);
+
+  // Pops the earliest non-cancelled event into (*at, *exec_host, *fn) without running
+  // it, so the caller can advance its clock first. The callback is MOVED out of the
+  // slab, never copied. Returns false, writing nothing, when no live event fires
+  // before `end`.
+  bool PopNext(SimTime* at, uint32_t* exec_host, EventFn* fn, SimTime end = kNever);
 
   // Convenience for tests: pops and immediately runs.
   bool PopAndRun(SimTime* fired_at);
@@ -112,64 +119,6 @@ class EventQueue {
   size_t slab_size() const { return slab_->slots.size(); }
 
  private:
-  // Heap key: 8-byte time + (seq << kSlotBits | slot). Comparing `key` after `at`
-  // yields FIFO order among equal times because seq occupies the high bits and is
-  // unique; the low bits give O(1) access to the slab slot on pop.
-  struct HeapEntry {
-    SimTime at;
-    uint64_t key;
-  };
-  static constexpr int kSlotBits = 24;  // Up to ~16.7M concurrently pending events.
-  static constexpr uint64_t kSlotMask = (uint64_t{1} << kSlotBits) - 1;
-  static constexpr uint64_t kMaxSeq = uint64_t{1} << (64 - kSlotBits);
-
-  static bool Earlier(const HeapEntry& a, const HeapEntry& b) {
-    return a.at < b.at || (a.at == b.at && a.key < b.key);
-  }
-
-  uint32_t AcquireSlot();
-  void ReleaseSlot(uint32_t slot);
-  void SiftUp(size_t i);
-  void SiftDown(size_t i);
-
-  std::shared_ptr<internal::EventSlab> slab_;
-  std::vector<HeapEntry> heap_;
-  uint64_t next_seq_ = 0;
-};
-
-// Priority queue ordered by (time, explicit 64-bit key) for the sharded simulator.
-//
-// The sharded engine keys every event with a canonical, shard-count-independent id —
-// (origin host, per-origin sequence) packed into 64 bits — so the pop order of any
-// shard's queue is a pure function of the event population, never of K or of push
-// order. Keys are unique by construction (each origin's counter only ever increments),
-// so (at, key) is a strict total order and no FIFO tiebreak sequence is needed.
-//
-// Each entry also carries the host the event executes AS (`exec_host`): the run loop
-// re-establishes that host's identity (canonical id counter, trace ids) before
-// invoking the callback. Slab, EventFn storage, and cancellation handles are shared
-// with EventQueue — an EventHandle works identically against either queue.
-class KeyedEventQueue {
- public:
-  KeyedEventQueue() : slab_(std::make_shared<internal::EventSlab>()) {}
-  KeyedEventQueue(const KeyedEventQueue&) = delete;
-  KeyedEventQueue& operator=(const KeyedEventQueue&) = delete;
-
-  EventHandle Push(SimTime at, uint64_t key, uint32_t exec_host, EventFn fn);
-
-  bool Empty() const { return heap_.empty(); }
-  size_t Size() const { return heap_.size(); }
-  SimTime NextTime() const;
-
-  // Pops the earliest non-cancelled event (MOVING the callback out of the slab).
-  // Returns false when only cancelled events remained.
-  bool PopNext(SimTime* at, uint32_t* exec_host, EventFn* fn);
-
-  void Reserve(size_t n);
-
-  uint64_t cancelled_total() const { return slab_->cancelled_total; }
-
- private:
   struct HeapEntry {
     SimTime at;
     uint64_t key;
@@ -183,6 +132,7 @@ class KeyedEventQueue {
 
   uint32_t AcquireSlot();
   void ReleaseSlot(uint32_t slot);
+  void RemoveTop();
   void SiftUp(size_t i);
   void SiftDown(size_t i);
 

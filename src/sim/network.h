@@ -95,19 +95,15 @@ class Network {
     SimTime rx_free_at = 0.0;
   };
 
-  // Two-phase send for the sharded engine: the src side (liveness, send accounting,
-  // loss/fault hooks, tx serialization, propagation) runs in the sender's execution
-  // context, then a single arrival event — routed to the destination's shard — performs
-  // rx serialization and delivery, so each host's NIC state is only ever touched by the
-  // thread owning its shard. The legacy single-queue path is byte-for-byte untouched.
-  void SendSharded(Message msg);
-  void ScheduleArrival(const Message& msg, SimTime arrival);
-  // Runs in the destination's execution context at the arrival timestamp.
+  // Schedules one arrival event for `msg`, executing as its destination (possibly on
+  // another shard) and keyed by the sender's canonical counter.
+  void ScheduleArrival(Message&& msg, SimTime at);
+  // Runs as the destination at the arrival time: books rx serialization, then
+  // delivers now or, behind a backlog, when the NIC drains.
   void Arrive(const Message& msg);
   void Deliver(const Message& msg);
 
   Simulator* sim_;
-  bool sharded_ = false;
   std::unique_ptr<LatencyModel> latency_;
   NetworkConfig config_;
   std::vector<HostState> hosts_;

@@ -4,7 +4,7 @@
 // shard worker on the hot message path. Instead of atomics, each thread owns a private
 // lane indexed by this slot: 0 on the main/coordinator thread (also the only slot that
 // exists in single-threaded mode), 1 + shard index on shard worker threads.
-// ShardedSimulator assigns the slot once at worker-thread start; readers fold all lanes
+// A K>1 Simulator assigns the slot once at worker-thread start; readers fold all lanes
 // under the coordinator's barrier (workers parked), so folds need no synchronization
 // beyond the barrier's happens-before.
 #ifndef SRC_SIM_SHARD_SLOT_H_

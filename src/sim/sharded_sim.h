@@ -1,175 +1,13 @@
-// Sharded discrete-event simulator: K event queues behind a conservative barrier.
-//
-// The id ring is partitioned into K contiguous host ranges (shards); each shard owns a
-// KeyedEventQueue, a clock, and a worker thread, and every event executes on the worker
-// that owns its host. Cross-shard interaction happens only through messages, and the
-// minimum link propagation latency L (the "lookahead") bounds how far one shard's
-// present can reach into another shard's future. The coordinator therefore runs the
-// simulation as a sequence of half-open time windows [T, T+L): within a window each
-// worker drains its own queue independently — any message it emits arrives at
-// t + prop >= T + L, i.e. strictly after the window — and at the window barrier the
-// coordinator drains cross-shard outboxes, so no shard ever receives an event in its
-// past. This is classic conservative PDES (CMB-style null-message-free windows), the
-// same shape as the `src/fl/compute_pool` offload template: every schedule-affecting
-// value is fixed before parallel work begins, and results rejoin at a pre-computed
-// stamp.
-//
-// Determinism contract — a K-shard run is BIT-IDENTICAL to the 1-shard run:
-//  - Every event carries a canonical key (origin host, per-origin sequence) packed into
-//    64 bits. A host's execution stream (the ordered list of events it runs) is a pure
-//    function of the event population, so the keys it assigns are too — independent of
-//    K and of worker interleaving. Queues pop in strict (time, key) order; keys are
-//    unique by construction, so there are no ties to break.
-//  - Trace/span ids draw from the SAME per-host counters (Tracer::SetIdSource), and
-//    per-worker span sinks are folded in canonical span-id order after each run;
-//    per-worker metric registries fold by name (commutative sums). Exports are
-//    byte-equal across K.
-//  - Events scheduled from OUTSIDE any host context (harness drivers, engine rounds)
-//    form the control stream: they run on the coordinator thread at window boundaries
-//    with all workers parked, ordered before same-time shard events. Setup code that
-//    acts on behalf of a node (Subscribe, StartKeepAlive) wraps the call in
-//    RunAsHost(host, fn) so its schedules and ids join the host's canonical stream.
-//
-// Supported at any K: fault scripts, including probabilistic link perturbations —
-// FaultInjector derives one Rng per (src, dst, send-sequence) from the sender's
-// canonical stream, so no draw depends on worker interleaving; and periodic in-run
-// sampling (EnablePeriodicSampling) — the coordinator advances the sampling countdown
-// by each window's fired total at the barrier, with all workers parked (the live-rate
-// SAMPLE COUNT is window-granular, so it varies with K; the event stream does not).
-//
-// Not supported in sharded mode (CHECK or documented): K > 1 requires lookahead > 0;
-// TOTORO_PROFILE merges per-shard virtual-ms sums in shard order, so profile gauges
-// may differ across K in the last ulp.
+// ShardedSimulator(K) is Simulator(K): one engine serves every shard count (see
+// simulator.h). The alias serves call sites that spell the shard count out.
 #ifndef SRC_SIM_SHARDED_SIM_H_
 #define SRC_SIM_SHARDED_SIM_H_
 
-#include <cstdint>
-#include <memory>
-#include <thread>
-#include <vector>
-
-#include "src/common/thread_annotations.h"
 #include "src/sim/simulator.h"
 
 namespace totoro {
 
-class Tracer;
-class MetricsRegistry;
-class Profiler;
-
-// Builds the simulator selected by TOTORO_SIM_SHARDS: a plain Simulator when the knob
-// is unset/1, a ShardedSimulator with that many shards otherwise. The single place
-// benches/tests consult the knob.
-std::unique_ptr<Simulator> MakeSimulatorFromEnv();
-
-class ShardedSimulator : public Simulator {
- public:
-  explicit ShardedSimulator(size_t num_shards);
-  ~ShardedSimulator() override;
-
-  SimTime Now() const override;
-  EventHandle Schedule(SimTime delay, EventFn fn) override;
-  EventHandle ScheduleAt(SimTime at, EventFn fn) override;
-  EventHandle ScheduleRejoin(SimTime delay, EventFn fn) override;
-  size_t Run(size_t max_events = SIZE_MAX) override;
-  size_t RunUntil(SimTime t) override;
-  bool Idle() const override;
-  size_t PendingEvents() const override;
-  void ReserveEvents(size_t n) override;
-  uint64_t events_cancelled() const override;
-
-  bool sharded() const override { return true; }
-  size_t num_shards() const override { return shards_.size(); }
-  void RunAsHost(HostId host, const std::function<void()>& fn) override;
-  EventHandle ScheduleMessageArrival(HostId src, HostId dst, SimTime at,
-                                     EventFn fn) override;
-  void OnHostAdded(HostId id) override;
-  void SetLookaheadMs(double ms) override;
-
-  // Shard owning `id` (hosts are split into contiguous ranges at first run).
-  size_t ShardOf(HostId id) const;
-  double lookahead_ms() const { return lookahead_ms_; }
-
- private:
-  struct PendingCrossShard {
-    SimTime at;
-    uint64_t key;
-    uint32_t exec_host;
-    EventFn fn;
-  };
-
-  struct Shard {
-    KeyedEventQueue queue;
-    SimTime now = 0.0;
-    // Worker-owned copy of the current window's exclusive end, taken from window_end_
-    // under mu_ before the window opens; lets worker-side conservative-bound CHECKs
-    // read it without touching the guarded coordinator field mid-window.
-    SimTime window_end = 0.0;
-    uint64_t window_fired = 0;     // Events run in the most recent window.
-    SimTime window_last_at = 0.0;  // Fire time of the last event in that window.
-    uint64_t rejoins = 0;          // Folded into rejoins_scheduled_ at run end.
-    // One outbox per destination shard; drained by the coordinator at barriers.
-    std::vector<std::vector<PendingCrossShard>> outbox;
-    // The worker thread's thread-local observability sinks, published at thread start
-    // and only touched cross-thread while the worker is parked.
-    Tracer* tracer = nullptr;
-    MetricsRegistry* metrics = nullptr;
-    Profiler* profiler = nullptr;
-    std::thread thread;
-  };
-
-  // Freezes the host -> shard partition (contiguous ranges) on first use.
-  void SealPartition();
-  // Canonical key allocation: (origin + 2) << kKeyOriginShift | per-origin sequence.
-  // Origin 0's range is reserved for the control stream (base 1 << shift); sequential
-  // tracer ids stay below every base, so nothing collides.
-  uint64_t NextHostKey(HostId origin) { return HostKeyBase(origin) + ops_[origin]++; }
-  static uint64_t HostKeyBase(HostId origin) {
-    return (static_cast<uint64_t>(origin) + 2) << kKeyOriginShift;
-  }
-  uint64_t NextControlKey() { return (uint64_t{1} << kKeyOriginShift) + control_ops_++; }
-
-  // The coordinator loop shared by Run/RunUntil: executes every event with
-  // at < end_exclusive, window by window. max_events is window-granular.
-  size_t RunShardedLoop(size_t max_events, SimTime end_exclusive);
-  // Runs control events due at exactly `at` (workers parked). Returns events fired.
-  size_t RunControlAt(SimTime at);
-  // Moves every outbox entry into its destination shard's queue (workers parked).
-  void DrainOutboxes();
-  // Folds worker spans/metrics/profiles into the main thread's sinks (workers parked).
-  void FoldObservability();
-  void SyncShardCancelled();
-
-  void WorkerMain(size_t shard_index);
-  // Runs shard events with at < end (the worker's copy of window_end_, read under mu_
-  // in WorkerMain before the window opened); called on the worker thread.
-  void RunWindow(Shard& shard, SimTime end);
-
-  static constexpr int kKeyOriginShift = 28;
-  static constexpr uint32_t kControlExec = UINT32_MAX;
-
-  std::vector<std::unique_ptr<Shard>> shards_;
-  KeyedEventQueue control_;        // Driver/harness events; runs on the coordinator.
-  uint64_t control_ops_ = 0;       // Control-stream key sequence.
-  std::vector<uint64_t> ops_;      // Per-host canonical sequence (sized at seal).
-  std::vector<uint32_t> shard_of_; // Host -> shard (sized at seal).
-  size_t num_hosts_ = 0;
-  bool sealed_ = false;
-  double lookahead_ms_ = 0.0;
-  bool first_run_done_ = false;
-
-  // Window barrier state. The coordinator publishes window_end_ and a generation
-  // bump under mu_; workers copy window_end_ out under mu_, run their window
-  // lock-free on shard-owned state, and report back under mu_.
-  Mutex mu_;
-  CondVar cv_workers_;
-  CondVar cv_done_;
-  uint64_t window_gen_ TOTORO_GUARDED_BY(mu_) = 0;
-  size_t workers_ready_ TOTORO_GUARDED_BY(mu_) = 0;  // Startup: sink pointers published.
-  size_t workers_running_ TOTORO_GUARDED_BY(mu_) = 0;
-  SimTime window_end_ TOTORO_GUARDED_BY(mu_) = 0.0;
-  bool stopping_ TOTORO_GUARDED_BY(mu_) = false;
-};
+using ShardedSimulator = Simulator;
 
 }  // namespace totoro
 

@@ -1,5 +1,6 @@
-// EventQueue / EventFn unit tests: slot+generation cancellation semantics, slab reuse,
-// and the zero-allocation steady state the simulator hot path depends on.
+// EventQueue / EventFn unit tests: (time, key) ordering, slot+generation cancellation
+// semantics, slab reuse, and the zero-allocation steady state the simulator hot path
+// depends on.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -80,29 +81,51 @@ TEST(EventFnTest, DestructionRunsCaptureDestructors) {
 
 // --- EventQueue ordering ---
 
-TEST(EventQueueTest, PopsInTimeOrderWithFifoTieBreak) {
+// Pushes with a fresh, increasing key, so equal-time events pop in push order — the
+// order the simulator gives one origin's events.
+EventHandle Push(EventQueue& q, SimTime at, EventFn fn) {
+  static uint64_t key = 0;
+  return q.Push(at, ++key, /*exec_host=*/0, std::move(fn));
+}
+
+TEST(EventQueueTest, PopsInTimeThenKeyOrder) {
   EventQueue q;
   std::vector<int> order;
-  q.Push(5.0, [&order]() { order.push_back(1); });
-  q.Push(1.0, [&order]() { order.push_back(2); });
-  q.Push(5.0, [&order]() { order.push_back(3); });  // Same time as #1: FIFO after it.
-  q.Push(3.0, [&order]() { order.push_back(4); });
+  q.Push(5.0, /*key=*/30, 0, [&order]() { order.push_back(1); });
+  q.Push(1.0, /*key=*/40, 0, [&order]() { order.push_back(2); });
+  q.Push(5.0, /*key=*/10, 0, [&order]() { order.push_back(3); });  // Same time, lower key.
+  q.Push(3.0, /*key=*/20, 0, [&order]() { order.push_back(4); });
   SimTime at = 0.0;
   while (q.PopAndRun(&at)) {
   }
-  EXPECT_EQ(order, (std::vector<int>{2, 4, 1, 3}));
+  EXPECT_EQ(order, (std::vector<int>{2, 4, 3, 1}));
 }
 
-TEST(EventQueueTest, PopNextMovesCallbackOut) {
+TEST(EventQueueTest, PopNextMovesCallbackOutWithExecHost) {
   EventQueue q;
   auto owned = std::make_unique<int>(9);
-  q.Push(1.0, [p = std::move(owned)]() { EXPECT_EQ(*p, 9); });
+  q.Push(1.0, /*key=*/1, /*exec_host=*/7, [p = std::move(owned)]() { EXPECT_EQ(*p, 9); });
   SimTime at = 0.0;
+  uint32_t exec_host = 0;
   EventFn fn;
-  ASSERT_TRUE(q.PopNext(&at, &fn));
+  ASSERT_TRUE(q.PopNext(&at, &exec_host, &fn));
   EXPECT_EQ(at, 1.0);
+  EXPECT_EQ(exec_host, 7u);
   fn();
-  EXPECT_FALSE(q.PopNext(&at, &fn));
+  EXPECT_FALSE(q.PopNext(&at, &exec_host, &fn));
+}
+
+TEST(EventQueueTest, PeekTimeSkipsCancelledFront) {
+  EventQueue q;
+  EventHandle dead = Push(q, 1.0, []() {});
+  Push(q, 4.0, []() {});
+  EXPECT_TRUE(dead.Cancel());
+  SimTime at = 0.0;
+  ASSERT_TRUE(q.PeekTime(&at));
+  EXPECT_EQ(at, 4.0);  // A bounded loop at 2.0 sees the live event is past its bound.
+  EXPECT_EQ(q.Size(), 1u);
+  EXPECT_TRUE(q.PopAndRun(&at));
+  EXPECT_FALSE(q.PeekTime(&at));
 }
 
 // --- Cancellation ---
@@ -110,7 +133,7 @@ TEST(EventQueueTest, PopNextMovesCallbackOut) {
 TEST(EventQueueTest, CancelPreventsExecution) {
   EventQueue q;
   bool ran = false;
-  EventHandle h = q.Push(1.0, [&ran]() { ran = true; });
+  EventHandle h = Push(q, 1.0, [&ran]() { ran = true; });
   EXPECT_TRUE(h.Cancel());
   EXPECT_TRUE(h.IsCancelled());
   SimTime at = 0.0;
@@ -121,7 +144,7 @@ TEST(EventQueueTest, CancelPreventsExecution) {
 
 TEST(EventQueueTest, CancelAfterFireIsNoOp) {
   EventQueue q;
-  EventHandle h = q.Push(1.0, []() {});
+  EventHandle h = Push(q, 1.0, []() {});
   SimTime at = 0.0;
   EXPECT_TRUE(q.PopAndRun(&at));
   EXPECT_FALSE(h.Cancel());
@@ -131,7 +154,7 @@ TEST(EventQueueTest, CancelAfterFireIsNoOp) {
 
 TEST(EventQueueTest, SecondCancelReturnsFalse) {
   EventQueue q;
-  EventHandle h = q.Push(1.0, []() {});
+  EventHandle h = Push(q, 1.0, []() {});
   EventHandle copy = h;
   EXPECT_TRUE(h.Cancel());
   EXPECT_FALSE(h.Cancel());
@@ -143,7 +166,7 @@ TEST(EventQueueTest, HandleOutlivesQueue) {
   EventHandle h;
   {
     EventQueue q;
-    h = q.Push(1.0, []() {});
+    h = Push(q, 1.0, []() {});
   }
   EXPECT_FALSE(h.Cancel());
   EXPECT_FALSE(h.IsCancelled());
@@ -151,11 +174,11 @@ TEST(EventQueueTest, HandleOutlivesQueue) {
 
 TEST(EventQueueTest, StaleHandleCannotCancelReusedSlot) {
   EventQueue q;
-  EventHandle stale = q.Push(1.0, []() {});
+  EventHandle stale = Push(q, 1.0, []() {});
   SimTime at = 0.0;
   EXPECT_TRUE(q.PopAndRun(&at));  // Slot released; generation bumped.
   bool second_ran = false;
-  q.Push(2.0, [&second_ran]() { second_ran = true; });  // Reuses the slot.
+  Push(q, 2.0, [&second_ran]() { second_ran = true; });  // Reuses the slot.
   EXPECT_EQ(q.slab_size(), 1u);
   EXPECT_FALSE(stale.Cancel());  // Generation mismatch: must not kill the new tenant.
   EXPECT_TRUE(q.PopAndRun(&at));
@@ -167,7 +190,7 @@ TEST(EventQueueTest, StaleHandleCannotCancelReusedSlot) {
 TEST(EventQueueTest, SlabStaysFlatUnderChurn) {
   EventQueue q;
   for (int round = 0; round < 1000; ++round) {
-    q.Push(static_cast<SimTime>(round), []() {});
+    Push(q, static_cast<SimTime>(round), []() {});
     SimTime at = 0.0;
     ASSERT_TRUE(q.PopAndRun(&at));
   }
@@ -179,7 +202,7 @@ TEST(EventQueueTest, SteadyStateScheduleFireLoopIsAllocationFree) {
   q.Reserve(64);
   // Warm up: materialize slab slots and heap capacity.
   for (int i = 0; i < 64; ++i) {
-    q.Push(static_cast<SimTime>(i), []() {});
+    Push(q, static_cast<SimTime>(i), []() {});
   }
   SimTime at = 0.0;
   while (q.PopAndRun(&at)) {
@@ -191,7 +214,7 @@ TEST(EventQueueTest, SteadyStateScheduleFireLoopIsAllocationFree) {
     // A capture representative of the delivery closure: well within kInlineSize.
     char payload[48] = {};
     payload[0] = static_cast<char>(round);
-    q.Push(static_cast<SimTime>(round), [&fired, payload]() { fired += 1 + 0 * payload[0]; });
+    Push(q, static_cast<SimTime>(round), [&fired, payload]() { fired += 1 + 0 * payload[0]; });
     if (round % 2 == 1) {  // Drain in pairs to exercise heap sift paths.
       ASSERT_TRUE(q.PopAndRun(&at));
       ASSERT_TRUE(q.PopAndRun(&at));
@@ -207,7 +230,7 @@ TEST(EventQueueTest, CancelChurnIsAllocationFreeAfterWarmup) {
   EventQueue q;
   q.Reserve(16);
   for (int i = 0; i < 16; ++i) {
-    q.Push(static_cast<SimTime>(i), []() {});
+    Push(q, static_cast<SimTime>(i), []() {});
   }
   SimTime at = 0.0;
   while (q.PopAndRun(&at)) {
@@ -215,8 +238,8 @@ TEST(EventQueueTest, CancelChurnIsAllocationFreeAfterWarmup) {
 
   const uint64_t before = g_allocations.load();
   for (int round = 0; round < 1000; ++round) {
-    EventHandle h = q.Push(static_cast<SimTime>(round), []() {});
-    EventHandle keep = q.Push(static_cast<SimTime>(round) + 0.5, []() {});
+    EventHandle h = Push(q, static_cast<SimTime>(round), []() {});
+    EventHandle keep = Push(q, static_cast<SimTime>(round) + 0.5, []() {});
     EXPECT_TRUE(h.Cancel());
     ASSERT_TRUE(q.PopAndRun(&at));  // Skips the cancelled event, runs `keep`.
     (void)keep;

@@ -3,7 +3,9 @@
 // int8-inference accuracy-delta check on the fig8 (Speech-like) workload.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <vector>
@@ -56,12 +58,34 @@ const size_t kSizes[] = {1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64,
 
 TEST(KernelParityTest, SupportedLevelsAlwaysIncludePortableOnes) {
   const auto levels = SupportedSimdLevels();
-  ASSERT_GE(levels.size(), 2u);
+  ASSERT_GE(levels.size(), 1u);
   EXPECT_EQ(levels[0], SimdLevel::kScalar);
-  EXPECT_EQ(levels[1], SimdLevel::kUnrolled);
   for (SimdLevel level : levels) {
     EXPECT_STRNE(SimdLevelName(level), "unknown");
   }
+}
+
+TEST(SimdEnvTest, KnownLevelTheCpuLacksClampsToTheBest) {
+  const auto supported = SupportedSimdLevels();
+  for (SimdLevel level : {SimdLevel::kSse2, SimdLevel::kAvx2, SimdLevel::kNeon}) {
+    if (std::find(supported.begin(), supported.end(), level) != supported.end()) {
+      continue;
+    }
+    ::setenv("TOTORO_SIMD", SimdLevelName(level), 1);
+    EXPECT_EQ(ResolveSimdLevelFromEnv(), supported.back()) << SimdLevelName(level);
+  }
+  ::setenv("TOTORO_SIMD", "scalar", 1);
+  EXPECT_EQ(ResolveSimdLevelFromEnv(), SimdLevel::kScalar);
+  ::unsetenv("TOTORO_SIMD");
+  EXPECT_EQ(ResolveSimdLevelFromEnv(), supported.back());
+}
+
+TEST(SimdEnvDeathTest, UnknownValueFailsListingAcceptedValues) {
+  for (const char* bad : {"unrolled", "native", "AVX2"}) {
+    ::setenv("TOTORO_SIMD", bad, 1);
+    EXPECT_DEATH(ResolveSimdLevelFromEnv(), "accepted: scalar, sse2, avx2, neon") << bad;
+  }
+  ::unsetenv("TOTORO_SIMD");
 }
 
 TEST(KernelParityTest, SetSimdLevelForTestInstallsAndReports) {

@@ -92,87 +92,6 @@ INSTANTIATE_TEST_SUITE_P(Architectures, GradientCheckTest,
                                            GradCheckParams{24, 32, 10, 4},
                                            GradCheckParams{4, 4, 2, 5}));
 
-// The conv model goes through the same recovered-gradient-vs-numerical check.
-struct ConvGradParams {
-  int input_len;
-  int filters;
-  int kernel;
-  int num_classes;
-  uint64_t seed;
-};
-
-class ConvGradientCheckTest : public ::testing::TestWithParam<ConvGradParams> {};
-
-TEST_P(ConvGradientCheckTest, Conv1dBackpropMatchesNumericalGradient) {
-  const auto p = GetParam();
-  Rng rng(p.seed);
-  Dataset shard(p.input_len, p.num_classes);
-  Example example;
-  example.label = static_cast<int>(rng.NextBelow(static_cast<uint64_t>(p.num_classes)));
-  example.x.resize(static_cast<size_t>(p.input_len));
-  for (auto& v : example.x) {
-    v = static_cast<float>(rng.Gaussian());
-  }
-  shard.Add(example);
-
-  auto model = MakeConv1d("conv", p.input_len, p.filters, p.kernel, p.num_classes, p.seed);
-  const std::vector<float> w0 = model->GetWeights();
-  TrainConfig config;
-  config.learning_rate = 1e-3f;
-  config.batch_size = 1;
-  config.local_steps = 1;
-  Rng train_rng(p.seed + 1);
-  model->TrainLocal(shard, config, train_rng);
-  const std::vector<float> w1 = model->GetWeights();
-
-  auto loss_at = [&](const std::vector<float>& w) {
-    model->SetWeights(w);
-    return model->Loss(shard);
-  };
-  Rng pick(p.seed + 2);
-  double max_rel_err = 0.0;
-  for (size_t c = 0; c < std::min<size_t>(w0.size(), 40); ++c) {
-    const size_t i = static_cast<size_t>(pick.NextBelow(w0.size()));
-    const double analytic = (static_cast<double>(w0[i]) - w1[i]) / config.learning_rate;
-    const double eps = 1e-3;
-    std::vector<float> wp = w0;
-    wp[i] += static_cast<float>(eps);
-    const double lp = loss_at(wp);
-    wp[i] = w0[i] - static_cast<float>(eps);
-    const double lm = loss_at(wp);
-    const double numeric = (lp - lm) / (2 * eps);
-    const double denom = std::max(1.0, std::abs(numeric) + std::abs(analytic));
-    max_rel_err = std::max(max_rel_err, std::abs(numeric - analytic) / denom);
-  }
-  EXPECT_LT(max_rel_err, 2e-2);
-}
-
-INSTANTIATE_TEST_SUITE_P(Shapes, ConvGradientCheckTest,
-                         ::testing::Values(ConvGradParams{16, 4, 3, 3, 11},
-                                           ConvGradParams{24, 8, 5, 5, 12},
-                                           ConvGradParams{32, 6, 7, 10, 13},
-                                           ConvGradParams{12, 2, 3, 2, 14}));
-
-TEST(Conv1dTest, TrainsAboveChanceOnSyntheticAudio) {
-  SyntheticSpec spec;
-  spec.dim = 32;
-  spec.num_classes = 6;
-  spec.class_separation = 2.0;
-  spec.noise_stddev = 1.0;
-  spec.seed = 15;
-  SyntheticTask task(spec);
-  Rng rng(16);
-  const Dataset train = task.Generate(400, rng);
-  const Dataset test = task.Generate(200, rng);
-  auto model = MakeConv1d("conv", 32, 12, 5, 6, 17);
-  TrainConfig config;
-  config.learning_rate = 0.05f;
-  config.local_steps = 300;
-  Rng train_rng(18);
-  model->TrainLocal(train, config, train_rng);
-  EXPECT_GT(model->Accuracy(test), 0.5);  // Chance is ~0.17.
-}
-
 // ---------- Serialization fuzz ----------
 
 class SerializeFuzzTest : public ::testing::TestWithParam<uint64_t> {};

@@ -1,8 +1,8 @@
 // Shard-determinism suite: the full overlay stack (Pastry keep-alives, Scribe tree
 // maintenance, multi-topic subscription traffic — the fig7 workload shape) must
 // produce BYTE-EQUAL trace/metrics exports and fingerprints for any shard count K,
-// including through a faultsim partition-heal script. This is the acceptance gate for
-// the sharded engine: K is a pure performance knob, never a semantics knob.
+// with and without bandwidth modelling, and through faultsim partition-heal and
+// link-perturbation scripts. K is a pure performance knob, never a semantics knob.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -45,13 +45,13 @@ struct RunOutput {
 
 // Runs the workload on a FRESH thread so each configuration sees pristine
 // thread-local tracer/metrics sinks, exactly like independent processes would.
-RunOutput RunWorkload(size_t shards, Fault fault) {
+RunOutput RunWorkload(size_t shards, Fault fault, bool model_bandwidth = false) {
   RunOutput out;
-  std::thread runner([&out, shards, fault] {
+  std::thread runner([&out, shards, fault, model_bandwidth] {
     GlobalTracer().SetEnabled(true);
     ShardedSimulator sim(shards);
     NetworkConfig net_config;
-    net_config.model_bandwidth = false;
+    net_config.model_bandwidth = model_bandwidth;
     Network net(&sim, std::make_unique<PairwiseUniformLatency>(1.0, 10.0, 3), net_config);
     PastryConfig pastry_config;
     pastry_config.enable_keepalive = true;
@@ -156,32 +156,43 @@ void ExpectIdentical(const RunOutput& base, const RunOutput& run, size_t k) {
   EXPECT_EQ(run.trace_json, base.trace_json) << "K=" << k;
 }
 
-TEST(ShardDeterminism, Fig7WorkloadBitIdenticalAtK148) {
+TEST(ShardDeterminism, Fig7WorkloadBitIdenticalAtK1248) {
   const RunOutput base = RunWorkload(1, Fault::kNone);
   EXPECT_GT(base.events, 1000u);
   EXPECT_GT(base.total_bytes, 0u);
   EXPECT_EQ(base.connected_topics, 3u);
-  for (const size_t k : {size_t{4}, size_t{8}}) {
+  for (const size_t k : {size_t{2}, size_t{4}, size_t{8}}) {
     ExpectIdentical(base, RunWorkload(k, Fault::kNone), k);
   }
 }
 
-TEST(ShardDeterminism, PartitionHealScriptBitIdenticalAtK148) {
+// Bandwidth modelled: rx serialization is booked at arrival, in the destination's
+// canonical event order, so NIC backlogs evolve identically for every K.
+TEST(ShardDeterminism, Fig7WorkloadWithBandwidthBitIdenticalAtK1248) {
+  const RunOutput base = RunWorkload(1, Fault::kNone, /*model_bandwidth=*/true);
+  EXPECT_GT(base.events, 1000u);
+  EXPECT_EQ(base.connected_topics, 3u);
+  for (const size_t k : {size_t{2}, size_t{4}, size_t{8}}) {
+    ExpectIdentical(base, RunWorkload(k, Fault::kNone, /*model_bandwidth=*/true), k);
+  }
+}
+
+TEST(ShardDeterminism, PartitionHealScriptBitIdenticalAtK1248) {
   const RunOutput base = RunWorkload(1, Fault::kPartition);
   EXPECT_GT(base.partition_drops, 0u) << "the partition never cut anything";
-  for (const size_t k : {size_t{4}, size_t{8}}) {
+  for (const size_t k : {size_t{2}, size_t{4}, size_t{8}}) {
     ExpectIdentical(base, RunWorkload(k, Fault::kPartition), k);
   }
 }
 
-TEST(ShardDeterminism, LinkPerturbationScriptBitIdenticalAtK148) {
+TEST(ShardDeterminism, LinkPerturbationScriptBitIdenticalAtK1248) {
   const RunOutput base = RunWorkload(1, Fault::kPerturb);
   // The rule must have actually fired on all three probabilistic paths, or the
   // byte-equality below proves nothing about the derived-Rng message path.
   EXPECT_GT(base.perturb_drops, 0u) << "the rule never dropped anything";
   EXPECT_GT(base.duplicates, 0u) << "the rule never duplicated anything";
   EXPECT_GT(base.delay_spikes, 0u) << "the rule never spiked anything";
-  for (const size_t k : {size_t{4}, size_t{8}}) {
+  for (const size_t k : {size_t{2}, size_t{4}, size_t{8}}) {
     ExpectIdentical(base, RunWorkload(k, Fault::kPerturb), k);
   }
 }

@@ -1,10 +1,12 @@
-// Unit tests for the sharded simulator: control-stream ordering, window/barrier
-// semantics over a real Network, and the headline contract — bit-identical metric and
-// trace exports for any shard count K.
+// Unit tests for the simulator engine at any shard count: control-stream ordering,
+// window/barrier semantics over a real Network, the engine contract (K=1 runs inline,
+// late hosts, sends from driver code), and the headline guarantee — bit-identical
+// metric and trace exports for any shard count K.
 #include "src/sim/sharded_sim.h"
 
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <memory>
 #include <string>
 #include <thread>
@@ -100,10 +102,12 @@ struct ScenarioResult {
 
 // Runs the ping-pong scenario (16 hosts, all-to-all-ish pings, one mid-run churn event
 // through the control stream) on a FRESH thread so every run gets pristine
-// thread-local tracer/metrics sinks.
-ScenarioResult RunPingScenario(size_t shards, bool model_bandwidth) {
+// thread-local tracer/metrics sinks. With `driver_sends` the first pings go out from
+// plain driver code, outside Run and RunAsHost, as TotoroEngine::StartAll's do.
+ScenarioResult RunPingScenario(size_t shards, bool model_bandwidth,
+                               bool driver_sends = false) {
   ScenarioResult out;
-  std::thread runner([&out, shards, model_bandwidth] {
+  std::thread runner([&out, shards, model_bandwidth, driver_sends] {
     GlobalTracer().SetEnabled(true);
     ShardedSimulator sim(shards);
     NetworkConfig cfg;
@@ -117,13 +121,18 @@ ScenarioResult RunPingScenario(size_t shards, bool model_bandwidth) {
     }
     sim.SetLookaheadMs(net.latency_model().MinLatencyMs());
     for (size_t i = 0; i < kHosts; ++i) {
-      sim.RunAsHost(static_cast<HostId>(i), [&net, i] {
+      auto ping = [&net, i] {
         Message m;
         m.src = static_cast<HostId>(i);
         m.dst = static_cast<HostId>((i * 5 + 3) % kHosts);
         m.size_bytes = 120;
         net.Send(m);
-      });
+      };
+      if (driver_sends) {
+        ping();
+      } else {
+        sim.RunAsHost(static_cast<HostId>(i), ping);
+      }
     }
     // Mid-run churn through the control stream: host 3 dies, later heals. Control runs
     // at window boundaries with every worker parked, so the flip is race-free and
@@ -167,6 +176,20 @@ TEST(ShardedSimulator, BitIdenticalWithoutBandwidthModel) {
   EXPECT_EQ(run.events, base.events);
   EXPECT_EQ(run.metrics_json, base.metrics_json);
   EXPECT_EQ(run.trace_json, base.trace_json);
+}
+
+TEST(ShardedSimulator, DriverCodeSendsBitIdenticalAcrossShardCounts) {
+  const ScenarioResult base =
+      RunPingScenario(1, /*model_bandwidth=*/true, /*driver_sends=*/true);
+  EXPECT_GT(base.events, 16u);
+  for (const size_t k : {size_t{2}, size_t{4}}) {
+    const ScenarioResult run =
+        RunPingScenario(k, /*model_bandwidth=*/true, /*driver_sends=*/true);
+    EXPECT_EQ(run.received, base.received) << "K=" << k;
+    EXPECT_EQ(run.events, base.events) << "K=" << k;
+    EXPECT_EQ(run.metrics_json, base.metrics_json) << "K=" << k;
+    EXPECT_EQ(run.trace_json, base.trace_json) << "K=" << k;
+  }
 }
 
 TEST(ShardedSimulator, PeriodicSamplingDrivesLiveRateAtBarriers) {
@@ -217,11 +240,118 @@ TEST(ShardedSimulator, PeriodicSamplingDrivesLiveRateAtBarriers) {
   EXPECT_GT(gauge_value, 0.0);
 }
 
-TEST(MakeSimulatorFromEnv, DefaultsToSingleThreadedEngine) {
+// The `Threads:` line of /proc/self/status: this process's live thread count.
+int ProcessThreadCount() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("Threads:", 0) == 0) {
+      return std::stoi(line.substr(8));
+    }
+  }
+  return -1;
+}
+
+TEST(MakeSimulatorFromEnv, DefaultsToOneInlineShard) {
   // TOTORO_SIM_SHARDS is unset in the test environment.
+  const int before = ProcessThreadCount();
+  ASSERT_GT(before, 0);
   std::unique_ptr<Simulator> sim = MakeSimulatorFromEnv();
-  EXPECT_FALSE(sim->sharded());
   EXPECT_EQ(sim->num_shards(), 1u);
+  EXPECT_EQ(ProcessThreadCount(), before) << "K=1 must not start a worker thread";
+}
+
+TEST(Simulator, OneShardRunsInlineWithoutThreads) {
+  const int before = ProcessThreadCount();
+  ASSERT_GT(before, 0);
+  Simulator sim;
+  EXPECT_EQ(ProcessThreadCount(), before);
+  Network net(&sim, std::make_unique<ConstantLatency>(1.0), NetworkConfig{});
+  std::vector<PingHost> hosts(4);
+  for (PingHost& h : hosts) {
+    h.net = &net;
+    h.id = net.AddHost(&h);
+  }
+  const std::thread::id caller = std::this_thread::get_id();
+  std::thread::id ran_on;
+  sim.RunAsHost(2, [&] {
+    sim.Schedule(1.0, [&ran_on] { ran_on = std::this_thread::get_id(); });
+    Message m;
+    m.src = 2;
+    m.dst = 3;
+    net.Send(m);
+  });
+  EXPECT_GT(sim.Run(), 2u);
+  EXPECT_EQ(ran_on, caller) << "host events must run on the calling thread";
+  EXPECT_EQ(ProcessThreadCount(), before);
+}
+
+TEST(Simulator, OneShardAcceptsHostsAfterTheFirstRun) {
+  Simulator sim;
+  Network net(&sim, std::make_unique<ConstantLatency>(2.0), NetworkConfig{});
+  std::vector<PingHost> hosts(8);
+  for (size_t i = 0; i < 4; ++i) {
+    hosts[i].net = &net;
+    hosts[i].id = net.AddHost(&hosts[i]);
+  }
+  sim.RunFor(5.0);
+  // Join four more mid-run, one from inside a host event (as a churn join does).
+  for (size_t i = 4; i < 6; ++i) {
+    hosts[i].net = &net;
+    hosts[i].id = net.AddHost(&hosts[i]);
+  }
+  sim.RunAsHost(0, [&] {
+    sim.Schedule(1.0, [&] {
+      for (size_t i = 6; i < 8; ++i) {
+        hosts[i].net = &net;
+        hosts[i].id = net.AddHost(&hosts[i]);
+      }
+      Message m;
+      m.src = 0;
+      m.dst = 7;
+      net.Send(m);
+    });
+  });
+  sim.Run();
+  EXPECT_EQ(net.num_hosts(), 8u);
+  EXPECT_GE(hosts[7].received, 1) << "a host added mid-run must receive";
+  EXPECT_GE(hosts[0].received, 1) << "and its reply must come back";
+}
+
+TEST(SimulatorDeathTest, ManyShardsRejectHostsAfterTheFirstRun) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_DEATH(
+      {
+        Simulator sim(2);
+        Network net(&sim, std::make_unique<ConstantLatency>(1.0), NetworkConfig{});
+        PingHost a;
+        PingHost b;
+        net.AddHost(&a);
+        sim.SetLookaheadMs(1.0);
+        sim.Run();
+        net.AddHost(&b);
+      },
+      "host added after the first run: K>1 freezes the host -> shard partition");
+}
+
+TEST(SimulatorDeathTest, ManyShardsRejectBandwidthChangesDuringARun) {
+  // Senders read the destination's bandwidth to time arrivals, so at K>1 it is
+  // configuration: fixed while a run is in progress. Between runs it may change.
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_DEATH(
+      {
+        Simulator sim(2);
+        Network net(&sim, std::make_unique<ConstantLatency>(1.0), NetworkConfig{});
+        PingHost a;
+        PingHost b;
+        net.AddHost(&a);
+        net.AddHost(&b);
+        sim.SetLookaheadMs(1.0);
+        net.SetHostBandwidth(1, 500.0);
+        sim.Schedule(1.0, [&net] { net.SetHostBandwidth(1, 100.0); });
+        sim.Run();
+      },
+      "num_shards\\(\\) == 1 \\|\\| !sim_->running\\(\\)");
 }
 
 }  // namespace

@@ -9,37 +9,49 @@ namespace {
 TEST(EventQueueTest, FiresInTimeOrder) {
   EventQueue q;
   std::vector<int> order;
-  q.Push(3.0, [&] { order.push_back(3); });
-  q.Push(1.0, [&] { order.push_back(1); });
-  q.Push(2.0, [&] { order.push_back(2); });
+  q.Push(3.0, /*key=*/1, 0, [&] { order.push_back(3); });
+  q.Push(1.0, /*key=*/2, 0, [&] { order.push_back(1); });
+  q.Push(2.0, /*key=*/3, 0, [&] { order.push_back(2); });
   SimTime t = 0;
   while (q.PopAndRun(&t)) {
   }
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
-TEST(EventQueueTest, TiesBreakFifo) {
+TEST(EventQueueTest, TiesBreakByKey) {
   EventQueue q;
   std::vector<int> order;
   for (int i = 0; i < 5; ++i) {
-    q.Push(1.0, [&order, i] { order.push_back(i); });
+    q.Push(1.0, /*key=*/static_cast<uint64_t>(10 - i), 0, [&order, i] { order.push_back(i); });
   }
   SimTime t = 0;
   while (q.PopAndRun(&t)) {
   }
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+  EXPECT_EQ(order, (std::vector<int>{4, 3, 2, 1, 0}));
 }
 
 TEST(EventQueueTest, CancelledEventsSkipped) {
   EventQueue q;
   int fired = 0;
-  EventHandle h = q.Push(1.0, [&] { ++fired; });
-  q.Push(2.0, [&] { ++fired; });
+  EventHandle h = q.Push(1.0, /*key=*/1, 0, [&] { ++fired; });
+  q.Push(2.0, /*key=*/2, 0, [&] { ++fired; });
   h.Cancel();
   SimTime t = 0;
   while (q.PopAndRun(&t)) {
   }
   EXPECT_EQ(fired, 1);
+}
+
+TEST(SimulatorTest, EqualTimeControlEventsKeepScheduleOrder) {
+  // Driver-code events share the control stream's key sequence, so equal-time ties
+  // resolve in the order they were scheduled.
+  Simulator sim;
+  std::vector<int> order;
+  for (int i = 0; i < 5; ++i) {
+    sim.ScheduleAt(1.0, [&order, i] { order.push_back(i); });
+  }
+  sim.Run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
 }
 
 TEST(SimulatorTest, ClockAdvancesToEventTime) {
