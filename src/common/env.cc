@@ -1,6 +1,10 @@
 #include "src/common/env.h"
 
+#include <cerrno>
 #include <cstdlib>
+#include <string>
+
+#include "src/common/check.h"
 
 namespace totoro {
 
@@ -15,9 +19,12 @@ long EnvInt64(const char* name, long fallback, long min_value) {
     return fallback;
   }
   char* end = nullptr;
+  errno = 0;
   const long parsed = std::strtol(value, &end, 10);
-  if (end == value || *end != '\0' || parsed < min_value) {
-    return fallback;
+  if (end == value || *end != '\0' || errno == ERANGE || parsed < min_value) {
+    const std::string message = std::string(name) + "=\"" + value +
+                                "\" is not an integer >= " + std::to_string(min_value);
+    CheckFailed(__FILE__, __LINE__, message.c_str());
   }
   return parsed;
 }

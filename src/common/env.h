@@ -14,15 +14,19 @@
 //   TOTORO_PROFILE         >= 1 enables the phase profiler  (src/obs/profiler.cc)
 //   TOTORO_BENCH_REPORT_DIR  BENCH_*.json output dir, default "."; "off" disables
 //                                                           (src/obs/bench_report.cc)
-//   TOTORO_SIMD            kernel dispatch level: scalar/sse2/avx2/neon; default =
-//                          best the CPU supports, and so is a known level it lacks;
-//                          any other value CHECK-fails. All levels are
-//                          bit-identical, so this only affects speed.
+//   TOTORO_SIMD            kernel dispatch level: scalar/avx2; default = avx2 when
+//                          the CPU has it, else scalar, and avx2 on a CPU without it
+//                          clamps to scalar; any other value CHECK-fails. Both
+//                          levels are bit-identical, so this only affects speed.
 //                                                           (src/ml/kernels.cc)
-//   TOTORO_SIM_SHARDS      simulator shard count K for MakeSimulatorFromEnv, >= 1;
+//   TOTORO_SIM_SHARDS      simulator shard count K for MakeSimulatorFromEnv, from 1
+//                          to Simulator::kMaxShards = 256 (a larger K CHECK-fails);
 //                          1 (default) runs inline on the calling thread, K > 1 on
 //                          K worker shards behind the conservative barrier. All K
 //                          produce bit-identical exports (src/sim/simulator.cc)
+//
+// A count knob that is set but is not an integer, or is below its minimum, CHECK-fails
+// with the knob's name and value rather than silently falling back to its default.
 #ifndef SRC_COMMON_ENV_H_
 #define SRC_COMMON_ENV_H_
 
@@ -35,8 +39,9 @@ namespace totoro {
 // (an empty value is treated as unset, matching every existing caller).
 const char* EnvString(const char* name);
 
-// Integer knob: returns `fallback` when unset, unparsable, trailing-garbage, or
-// below `min_value`.
+// Integer knob: returns `fallback` when unset. CHECK-fails, naming the knob and its
+// value, when it is set but is not a base-10 integer that fits a long (trailing
+// garbage included), or is below `min_value`.
 long EnvInt64(const char* name, long fallback, long min_value);
 
 // Positive thread/worker-count knob: EnvInt64 with min_value 1, narrowed to size_t.

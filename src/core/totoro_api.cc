@@ -88,14 +88,19 @@ void Totoro::SetOnAggregate(OnAggregateFn fn) { on_aggregate_ = std::move(fn); }
 
 void Totoro::SetOnTimer(const NodeId& app_id, double period_ms, OnTimerFn fn) {
   CHECK_GT(period_ms, 0.0);
-  // Periodic progress callback; reschedules itself for the lifetime of the run.
+  // Periodic progress callback; reschedules itself for the lifetime of the run. The
+  // tick holds itself only through a weak_ptr: each scheduled event owns the one strong
+  // reference, so the closure is freed with the last pending event, not leaked in a
+  // cycle.
   auto tick = std::make_shared<std::function<void()>>();
-  auto fn_shared = std::make_shared<OnTimerFn>(std::move(fn));
-  *tick = [this, app_id, period_ms, tick, fn_shared]() {
-    (*fn_shared)(app_id);
-    sim_->Schedule(period_ms, *tick);
+  *tick = [this, app_id, period_ms, fn = std::move(fn),
+           self = std::weak_ptr<std::function<void()>>(tick)]() {
+    fn(app_id);
+    if (auto next = self.lock()) {
+      sim_->Schedule(period_ms, [next]() { (*next)(); });
+    }
   };
-  sim_->Schedule(period_ms, *tick);
+  sim_->Schedule(period_ms, [tick]() { (*tick)(); });
 }
 
 size_t Totoro::NumNodes() const { return rings_->pastry().size(); }

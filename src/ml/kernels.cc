@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <cstring>
 #include <string>
 
 #include "src/common/check.h"
@@ -11,29 +10,29 @@
 
 #if defined(__x86_64__) || defined(_M_X64)
 #define TOTORO_KERNELS_X86 1
-#include <immintrin.h>
-#endif
-#if defined(__aarch64__)
-#define TOTORO_KERNELS_NEON 1
-#include <arm_neon.h>
 #endif
 
 namespace totoro {
 namespace {
 
-// ---- Scalar reference ----------------------------------------------------------
-// Every other level must match these bit for bit (elementwise ops only; see header).
+// ---- One loop per kernel -------------------------------------------------------
+// Plain loops, compiled twice in this translation unit: as themselves for the build's
+// baseline ISA (the scalar level), and inlined into the AVX2 wrappers below. The
+// compiler vectorizes both; src/ml/CMakeLists.txt builds with -ffp-contract=off, so
+// every mul and add stays a separate rounding at either width. Internal linkage keeps
+// the linker from ever handing one compilation's copy to the other's callers.
 
-namespace scalar {
+namespace loops {
 
-void Axpy(float alpha, const float* x, float* y, size_t n) {
+[[gnu::always_inline]] inline void Axpy(float alpha, const float* x, float* y, size_t n) {
   for (size_t i = 0; i < n; ++i) {
     y[i] += alpha * x[i];
   }
 }
 
-void Axpy4(const float alpha[4], const float* x0, const float* x1, const float* x2,
-           const float* x3, float* y, size_t n) {
+[[gnu::always_inline]] inline void Axpy4(const float alpha[4], const float* x0,
+                                         const float* x1, const float* x2, const float* x3,
+                                         float* y, size_t n) {
   for (size_t i = 0; i < n; ++i) {
     // Four sequential mul+add pairs per element — the same roundings, in the same
     // order, as four consecutive Axpy passes.
@@ -46,40 +45,40 @@ void Axpy4(const float alpha[4], const float* x0, const float* x1, const float* 
   }
 }
 
-void AxpyI8(float alpha, const int8_t* q, float* y, size_t n) {
+[[gnu::always_inline]] inline void AxpyI8(float alpha, const int8_t* q, float* y, size_t n) {
   for (size_t i = 0; i < n; ++i) {
     y[i] += alpha * static_cast<float>(q[i]);
   }
 }
 
-void ScaleK(float* x, float alpha, size_t n) {
+[[gnu::always_inline]] inline void Scale(float* x, float alpha, size_t n) {
   for (size_t i = 0; i < n; ++i) {
     x[i] *= alpha;
   }
 }
 
-void Relu(float* x, size_t n) {
+[[gnu::always_inline]] inline void Relu(float* x, size_t n) {
   for (size_t i = 0; i < n; ++i) {
     x[i] = std::max(x[i], 0.0f);
   }
 }
 
-void ReluMask(const float* act, float* grad, size_t n) {
+[[gnu::always_inline]] inline void ReluMask(const float* act, float* grad, size_t n) {
+  // A select, not a conditional store, so that it vectorizes.
   for (size_t i = 0; i < n; ++i) {
-    if (act[i] <= 0.0f) {
-      grad[i] = 0.0f;
-    }
+    grad[i] = act[i] <= 0.0f ? 0.0f : grad[i];
   }
 }
 
-void Lerp(float* w, const float* p, float alpha, size_t n) {
+[[gnu::always_inline]] inline void Lerp(float* w, const float* p, float alpha, size_t n) {
   const float one_minus = 1.0f - alpha;
   for (size_t i = 0; i < n; ++i) {
     w[i] = one_minus * w[i] + alpha * p[i];
   }
 }
 
-float MaxK(const float* x, size_t n) {
+[[gnu::always_inline]] inline float Max(const float* x, size_t n) {
+  // Sequential: softmax rows are short (at most 62 classes here), and exact anyway.
   float m = x[0];
   for (size_t i = 1; i < n; ++i) {
     m = std::max(m, x[i]);
@@ -87,451 +86,61 @@ float MaxK(const float* x, size_t n) {
   return m;
 }
 
-void Div(float* x, float denom, size_t n) {
+[[gnu::always_inline]] inline void Div(float* x, float denom, size_t n) {
   for (size_t i = 0; i < n; ++i) {
     x[i] /= denom;
   }
 }
 
-}  // namespace scalar
+}  // namespace loops
 
 #if defined(TOTORO_KERNELS_X86)
 
-// ---- SSE2 (x86-64 baseline, 4-wide) --------------------------------------------
-
-namespace sse2 {
-
-void Axpy(float alpha, const float* x, float* y, size_t n) {
-  const __m128 va = _mm_set1_ps(alpha);
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m128 vx = _mm_loadu_ps(x + i);
-    const __m128 vy = _mm_loadu_ps(y + i);
-    _mm_storeu_ps(y + i, _mm_add_ps(vy, _mm_mul_ps(va, vx)));
-  }
-  for (; i < n; ++i) {
-    y[i] += alpha * x[i];
-  }
-}
-
-void Axpy4(const float alpha[4], const float* x0, const float* x1, const float* x2,
-           const float* x3, float* y, size_t n) {
-  const __m128 va0 = _mm_set1_ps(alpha[0]);
-  const __m128 va1 = _mm_set1_ps(alpha[1]);
-  const __m128 va2 = _mm_set1_ps(alpha[2]);
-  const __m128 va3 = _mm_set1_ps(alpha[3]);
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    __m128 vy = _mm_loadu_ps(y + i);
-    vy = _mm_add_ps(vy, _mm_mul_ps(va0, _mm_loadu_ps(x0 + i)));
-    vy = _mm_add_ps(vy, _mm_mul_ps(va1, _mm_loadu_ps(x1 + i)));
-    vy = _mm_add_ps(vy, _mm_mul_ps(va2, _mm_loadu_ps(x2 + i)));
-    vy = _mm_add_ps(vy, _mm_mul_ps(va3, _mm_loadu_ps(x3 + i)));
-    _mm_storeu_ps(y + i, vy);
-  }
-  for (; i < n; ++i) {
-    float acc = y[i];
-    acc += alpha[0] * x0[i];
-    acc += alpha[1] * x1[i];
-    acc += alpha[2] * x2[i];
-    acc += alpha[3] * x3[i];
-    y[i] = acc;
-  }
-}
-
-void AxpyI8(float alpha, const int8_t* q, float* y, size_t n) {
-  const __m128 va = _mm_set1_ps(alpha);
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    // Sign-extend 4 int8 -> int32 without SSE4.1: duplicate the bytes up the lane and
-    // arithmetic-shift back down.
-    int32_t raw = 0;
-    std::memcpy(&raw, q + i, 4);
-    __m128i v8 = _mm_cvtsi32_si128(raw);
-    v8 = _mm_unpacklo_epi8(v8, v8);
-    v8 = _mm_unpacklo_epi16(v8, v8);
-    const __m128i v32 = _mm_srai_epi32(v8, 24);
-    const __m128 vq = _mm_cvtepi32_ps(v32);
-    const __m128 vy = _mm_loadu_ps(y + i);
-    _mm_storeu_ps(y + i, _mm_add_ps(vy, _mm_mul_ps(va, vq)));
-  }
-  for (; i < n; ++i) {
-    y[i] += alpha * static_cast<float>(q[i]);
-  }
-}
-
-void ScaleK(float* x, float alpha, size_t n) {
-  const __m128 va = _mm_set1_ps(alpha);
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    _mm_storeu_ps(x + i, _mm_mul_ps(_mm_loadu_ps(x + i), va));
-  }
-  for (; i < n; ++i) {
-    x[i] *= alpha;
-  }
-}
-
-void Relu(float* x, size_t n) {
-  // maxps(0, v) = (0 > v) ? 0 : v — exactly std::max(v, 0.0f): -0.0 and NaN pass
-  // through (the second operand wins ties and unordered compares).
-  const __m128 zero = _mm_setzero_ps();
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    _mm_storeu_ps(x + i, _mm_max_ps(zero, _mm_loadu_ps(x + i)));
-  }
-  for (; i < n; ++i) {
-    x[i] = std::max(x[i], 0.0f);
-  }
-}
-
-void ReluMask(const float* act, float* grad, size_t n) {
-  const __m128 zero = _mm_setzero_ps();
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    // cmple is an ordered compare: NaN activation keeps its gradient, like the scalar
-    // `act <= 0` test.
-    const __m128 mask = _mm_cmple_ps(_mm_loadu_ps(act + i), zero);
-    _mm_storeu_ps(grad + i, _mm_andnot_ps(mask, _mm_loadu_ps(grad + i)));
-  }
-  for (; i < n; ++i) {
-    grad[i] = act[i] <= 0.0f ? 0.0f : grad[i];
-  }
-}
-
-void Lerp(float* w, const float* p, float alpha, size_t n) {
-  const float one_minus = 1.0f - alpha;
-  const __m128 va = _mm_set1_ps(alpha);
-  const __m128 vb = _mm_set1_ps(one_minus);
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m128 vw = _mm_mul_ps(vb, _mm_loadu_ps(w + i));
-    const __m128 vp = _mm_mul_ps(va, _mm_loadu_ps(p + i));
-    _mm_storeu_ps(w + i, _mm_add_ps(vw, vp));
-  }
-  for (; i < n; ++i) {
-    w[i] = one_minus * w[i] + alpha * p[i];
-  }
-}
-
-float MaxK(const float* x, size_t n) {
-  if (n < 4) {
-    return scalar::MaxK(x, n);
-  }
-  __m128 vm = _mm_loadu_ps(x);
-  size_t i = 4;
-  for (; i + 4 <= n; i += 4) {
-    vm = _mm_max_ps(vm, _mm_loadu_ps(x + i));
-  }
-  alignas(16) float lanes[4];
-  _mm_store_ps(lanes, vm);
-  float m = std::max(std::max(lanes[0], lanes[1]), std::max(lanes[2], lanes[3]));
-  for (; i < n; ++i) {
-    m = std::max(m, x[i]);
-  }
-  return m;
-}
-
-void Div(float* x, float denom, size_t n) {
-  const __m128 vd = _mm_set1_ps(denom);
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    _mm_storeu_ps(x + i, _mm_div_ps(_mm_loadu_ps(x + i), vd));
-  }
-  for (; i < n; ++i) {
-    x[i] /= denom;
-  }
-}
-
-}  // namespace sse2
-
-// ---- AVX2 (8-wide, runtime-detected) -------------------------------------------
-// target("avx2") does NOT enable FMA: mul and add stay separate instructions, which
-// is what keeps these bit-identical to the scalar reference.
+// ---- The same loops compiled for AVX2 ------------------------------------------
+// target("avx2") does not enable FMA, and -ffp-contract=off would forbid fusing anyway.
 
 namespace avx2 {
 
-__attribute__((target("avx2"))) void Axpy(float alpha, const float* x, float* y,
-                                          size_t n) {
-  const __m256 va = _mm256_set1_ps(alpha);
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256 vx = _mm256_loadu_ps(x + i);
-    const __m256 vy = _mm256_loadu_ps(y + i);
-    _mm256_storeu_ps(y + i, _mm256_add_ps(vy, _mm256_mul_ps(va, vx)));
-  }
-  for (; i < n; ++i) {
-    y[i] += alpha * x[i];
-  }
+__attribute__((target("avx2"))) void Axpy(float alpha, const float* x, float* y, size_t n) {
+  loops::Axpy(alpha, x, y, n);
 }
 
 __attribute__((target("avx2"))) void Axpy4(const float alpha[4], const float* x0,
                                            const float* x1, const float* x2,
                                            const float* x3, float* y, size_t n) {
-  const __m256 va0 = _mm256_set1_ps(alpha[0]);
-  const __m256 va1 = _mm256_set1_ps(alpha[1]);
-  const __m256 va2 = _mm256_set1_ps(alpha[2]);
-  const __m256 va3 = _mm256_set1_ps(alpha[3]);
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    __m256 vy = _mm256_loadu_ps(y + i);
-    vy = _mm256_add_ps(vy, _mm256_mul_ps(va0, _mm256_loadu_ps(x0 + i)));
-    vy = _mm256_add_ps(vy, _mm256_mul_ps(va1, _mm256_loadu_ps(x1 + i)));
-    vy = _mm256_add_ps(vy, _mm256_mul_ps(va2, _mm256_loadu_ps(x2 + i)));
-    vy = _mm256_add_ps(vy, _mm256_mul_ps(va3, _mm256_loadu_ps(x3 + i)));
-    _mm256_storeu_ps(y + i, vy);
-  }
-  for (; i < n; ++i) {
-    float acc = y[i];
-    acc += alpha[0] * x0[i];
-    acc += alpha[1] * x1[i];
-    acc += alpha[2] * x2[i];
-    acc += alpha[3] * x3[i];
-    y[i] = acc;
-  }
+  loops::Axpy4(alpha, x0, x1, x2, x3, y, n);
 }
 
 __attribute__((target("avx2"))) void AxpyI8(float alpha, const int8_t* q, float* y,
                                             size_t n) {
-  const __m256 va = _mm256_set1_ps(alpha);
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m128i v8 = _mm_loadl_epi64(reinterpret_cast<const __m128i*>(q + i));
-    const __m256i v32 = _mm256_cvtepi8_epi32(v8);
-    const __m256 vq = _mm256_cvtepi32_ps(v32);
-    const __m256 vy = _mm256_loadu_ps(y + i);
-    _mm256_storeu_ps(y + i, _mm256_add_ps(vy, _mm256_mul_ps(va, vq)));
-  }
-  for (; i < n; ++i) {
-    y[i] += alpha * static_cast<float>(q[i]);
-  }
+  loops::AxpyI8(alpha, q, y, n);
 }
 
-__attribute__((target("avx2"))) void ScaleK(float* x, float alpha, size_t n) {
-  const __m256 va = _mm256_set1_ps(alpha);
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    _mm256_storeu_ps(x + i, _mm256_mul_ps(_mm256_loadu_ps(x + i), va));
-  }
-  for (; i < n; ++i) {
-    x[i] *= alpha;
-  }
+__attribute__((target("avx2"))) void Scale(float* x, float alpha, size_t n) {
+  loops::Scale(x, alpha, n);
 }
 
-__attribute__((target("avx2"))) void Relu(float* x, size_t n) {
-  const __m256 zero = _mm256_setzero_ps();
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    _mm256_storeu_ps(x + i, _mm256_max_ps(zero, _mm256_loadu_ps(x + i)));
-  }
-  for (; i < n; ++i) {
-    x[i] = std::max(x[i], 0.0f);
-  }
-}
+__attribute__((target("avx2"))) void Relu(float* x, size_t n) { loops::Relu(x, n); }
 
 __attribute__((target("avx2"))) void ReluMask(const float* act, float* grad, size_t n) {
-  const __m256 zero = _mm256_setzero_ps();
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256 mask = _mm256_cmp_ps(_mm256_loadu_ps(act + i), zero, _CMP_LE_OQ);
-    _mm256_storeu_ps(grad + i, _mm256_andnot_ps(mask, _mm256_loadu_ps(grad + i)));
-  }
-  for (; i < n; ++i) {
-    grad[i] = act[i] <= 0.0f ? 0.0f : grad[i];
-  }
+  loops::ReluMask(act, grad, n);
 }
 
-__attribute__((target("avx2"))) void Lerp(float* w, const float* p, float alpha,
-                                          size_t n) {
-  const float one_minus = 1.0f - alpha;
-  const __m256 va = _mm256_set1_ps(alpha);
-  const __m256 vb = _mm256_set1_ps(one_minus);
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256 vw = _mm256_mul_ps(vb, _mm256_loadu_ps(w + i));
-    const __m256 vp = _mm256_mul_ps(va, _mm256_loadu_ps(p + i));
-    _mm256_storeu_ps(w + i, _mm256_add_ps(vw, vp));
-  }
-  for (; i < n; ++i) {
-    w[i] = one_minus * w[i] + alpha * p[i];
-  }
+__attribute__((target("avx2"))) void Lerp(float* w, const float* p, float alpha, size_t n) {
+  loops::Lerp(w, p, alpha, n);
 }
 
-__attribute__((target("avx2"))) float MaxK(const float* x, size_t n) {
-  if (n < 8) {
-    return scalar::MaxK(x, n);
-  }
-  __m256 vm = _mm256_loadu_ps(x);
-  size_t i = 8;
-  for (; i + 8 <= n; i += 8) {
-    vm = _mm256_max_ps(vm, _mm256_loadu_ps(x + i));
-  }
-  alignas(32) float lanes[8];
-  _mm256_store_ps(lanes, vm);
-  float m = std::max(std::max(std::max(lanes[0], lanes[1]), std::max(lanes[2], lanes[3])),
-                     std::max(std::max(lanes[4], lanes[5]), std::max(lanes[6], lanes[7])));
-  for (; i < n; ++i) {
-    m = std::max(m, x[i]);
-  }
-  return m;
+__attribute__((target("avx2"))) float Max(const float* x, size_t n) {
+  return loops::Max(x, n);
 }
 
 __attribute__((target("avx2"))) void Div(float* x, float denom, size_t n) {
-  const __m256 vd = _mm256_set1_ps(denom);
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    _mm256_storeu_ps(x + i, _mm256_div_ps(_mm256_loadu_ps(x + i), vd));
-  }
-  for (; i < n; ++i) {
-    x[i] /= denom;
-  }
+  loops::Div(x, denom, n);
 }
 
 }  // namespace avx2
 
 #endif  // TOTORO_KERNELS_X86
-
-#if defined(TOTORO_KERNELS_NEON)
-
-// ---- NEON (aarch64 baseline, 4-wide) -------------------------------------------
-
-namespace neon {
-
-void Axpy(float alpha, const float* x, float* y, size_t n) {
-  const float32x4_t va = vdupq_n_f32(alpha);
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const float32x4_t vx = vld1q_f32(x + i);
-    const float32x4_t vy = vld1q_f32(y + i);
-    vst1q_f32(y + i, vaddq_f32(vy, vmulq_f32(va, vx)));
-  }
-  for (; i < n; ++i) {
-    y[i] += alpha * x[i];
-  }
-}
-
-void Axpy4(const float alpha[4], const float* x0, const float* x1, const float* x2,
-           const float* x3, float* y, size_t n) {
-  const float32x4_t va0 = vdupq_n_f32(alpha[0]);
-  const float32x4_t va1 = vdupq_n_f32(alpha[1]);
-  const float32x4_t va2 = vdupq_n_f32(alpha[2]);
-  const float32x4_t va3 = vdupq_n_f32(alpha[3]);
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    float32x4_t vy = vld1q_f32(y + i);
-    vy = vaddq_f32(vy, vmulq_f32(va0, vld1q_f32(x0 + i)));
-    vy = vaddq_f32(vy, vmulq_f32(va1, vld1q_f32(x1 + i)));
-    vy = vaddq_f32(vy, vmulq_f32(va2, vld1q_f32(x2 + i)));
-    vy = vaddq_f32(vy, vmulq_f32(va3, vld1q_f32(x3 + i)));
-    vst1q_f32(y + i, vy);
-  }
-  for (; i < n; ++i) {
-    float acc = y[i];
-    acc += alpha[0] * x0[i];
-    acc += alpha[1] * x1[i];
-    acc += alpha[2] * x2[i];
-    acc += alpha[3] * x3[i];
-    y[i] = acc;
-  }
-}
-
-void AxpyI8(float alpha, const int8_t* q, float* y, size_t n) {
-  const float32x4_t va = vdupq_n_f32(alpha);
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const int16x8_t v16 = vmovl_s8(vld1_s8(q + i));
-    const float32x4_t lo = vcvtq_f32_s32(vmovl_s16(vget_low_s16(v16)));
-    const float32x4_t hi = vcvtq_f32_s32(vmovl_s16(vget_high_s16(v16)));
-    vst1q_f32(y + i, vaddq_f32(vld1q_f32(y + i), vmulq_f32(va, lo)));
-    vst1q_f32(y + i + 4, vaddq_f32(vld1q_f32(y + i + 4), vmulq_f32(va, hi)));
-  }
-  for (; i < n; ++i) {
-    y[i] += alpha * static_cast<float>(q[i]);
-  }
-}
-
-void ScaleK(float* x, float alpha, size_t n) {
-  const float32x4_t va = vdupq_n_f32(alpha);
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    vst1q_f32(x + i, vmulq_f32(vld1q_f32(x + i), va));
-  }
-  for (; i < n; ++i) {
-    x[i] *= alpha;
-  }
-}
-
-void Relu(float* x, size_t n) {
-  // Compare + select, not vmax: FMAX orders -0 < +0 which would flip the sign of zero
-  // relative to std::max(v, 0.0f).
-  const float32x4_t zero = vdupq_n_f32(0.0f);
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const float32x4_t v = vld1q_f32(x + i);
-    const uint32x4_t neg = vcltq_f32(v, zero);
-    vst1q_f32(x + i, vbslq_f32(neg, zero, v));
-  }
-  for (; i < n; ++i) {
-    x[i] = std::max(x[i], 0.0f);
-  }
-}
-
-void ReluMask(const float* act, float* grad, size_t n) {
-  const float32x4_t zero = vdupq_n_f32(0.0f);
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const uint32x4_t dead = vcleq_f32(vld1q_f32(act + i), zero);
-    vst1q_f32(grad + i, vbslq_f32(dead, zero, vld1q_f32(grad + i)));
-  }
-  for (; i < n; ++i) {
-    grad[i] = act[i] <= 0.0f ? 0.0f : grad[i];
-  }
-}
-
-void Lerp(float* w, const float* p, float alpha, size_t n) {
-  const float one_minus = 1.0f - alpha;
-  const float32x4_t va = vdupq_n_f32(alpha);
-  const float32x4_t vb = vdupq_n_f32(one_minus);
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const float32x4_t vw = vmulq_f32(vb, vld1q_f32(w + i));
-    const float32x4_t vp = vmulq_f32(va, vld1q_f32(p + i));
-    vst1q_f32(w + i, vaddq_f32(vw, vp));
-  }
-  for (; i < n; ++i) {
-    w[i] = one_minus * w[i] + alpha * p[i];
-  }
-}
-
-float MaxK(const float* x, size_t n) {
-  if (n < 4) {
-    return scalar::MaxK(x, n);
-  }
-  float32x4_t vm = vld1q_f32(x);
-  size_t i = 4;
-  for (; i + 4 <= n; i += 4) {
-    vm = vmaxq_f32(vm, vld1q_f32(x + i));
-  }
-  float m = vmaxvq_f32(vm);
-  for (; i < n; ++i) {
-    m = std::max(m, x[i]);
-  }
-  return m;
-}
-
-void Div(float* x, float denom, size_t n) {
-  const float32x4_t vd = vdupq_n_f32(denom);
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    vst1q_f32(x + i, vdivq_f32(vld1q_f32(x + i), vd));
-  }
-  for (; i < n; ++i) {
-    x[i] /= denom;
-  }
-}
-
-}  // namespace neon
-
-#endif  // TOTORO_KERNELS_NEON
 
 // ---- Dispatch ------------------------------------------------------------------
 
@@ -548,76 +157,34 @@ struct KernelTable {
   void (*div)(float*, float, size_t);
 };
 
-constexpr KernelTable kScalarTable = {scalar::Axpy,     scalar::Axpy4,
-                                      scalar::AxpyI8,   scalar::ScaleK,
-                                      scalar::Relu,     scalar::ReluMask,
-                                      scalar::Lerp,     scalar::MaxK,   scalar::Div};
+constexpr KernelTable kScalarTable = {loops::Axpy,  loops::Axpy4, loops::AxpyI8,
+                                      loops::Scale, loops::Relu,  loops::ReluMask,
+                                      loops::Lerp,  loops::Max,   loops::Div};
 #if defined(TOTORO_KERNELS_X86)
-constexpr KernelTable kSse2Table = {sse2::Axpy,     sse2::Axpy4,
-                                    sse2::AxpyI8,   sse2::ScaleK,
-                                    sse2::Relu,     sse2::ReluMask,
-                                    sse2::Lerp,     sse2::MaxK,   sse2::Div};
-constexpr KernelTable kAvx2Table = {avx2::Axpy,     avx2::Axpy4,
-                                    avx2::AxpyI8,   avx2::ScaleK,
-                                    avx2::Relu,     avx2::ReluMask,
-                                    avx2::Lerp,     avx2::MaxK,   avx2::Div};
-#endif
-#if defined(TOTORO_KERNELS_NEON)
-constexpr KernelTable kNeonTable = {neon::Axpy,     neon::Axpy4,
-                                    neon::AxpyI8,   neon::ScaleK,
-                                    neon::Relu,     neon::ReluMask,
-                                    neon::Lerp,     neon::MaxK,   neon::Div};
+constexpr KernelTable kAvx2Table = {avx2::Axpy,  avx2::Axpy4, avx2::AxpyI8,
+                                    avx2::Scale, avx2::Relu,  avx2::ReluMask,
+                                    avx2::Lerp,  avx2::Max,   avx2::Div};
 #endif
 
-const KernelTable* TableFor(SimdLevel level) {
-  switch (level) {
-    case SimdLevel::kScalar:
-      return &kScalarTable;
+const KernelTable* TableFor([[maybe_unused]] SimdLevel level) {
 #if defined(TOTORO_KERNELS_X86)
-    case SimdLevel::kSse2:
-      return &kSse2Table;
-    case SimdLevel::kAvx2:
-      return &kAvx2Table;
-#endif
-#if defined(TOTORO_KERNELS_NEON)
-    case SimdLevel::kNeon:
-      return &kNeonTable;
-#endif
-    default:
-      return &kScalarTable;
-  }
-}
-
-bool LevelSupported(SimdLevel level) {
-  switch (level) {
-    case SimdLevel::kScalar:
-      return true;
-#if defined(TOTORO_KERNELS_X86)
-    case SimdLevel::kSse2:
-      return true;  // x86-64 baseline.
-    case SimdLevel::kAvx2:
-      return __builtin_cpu_supports("avx2") != 0;
-#endif
-#if defined(TOTORO_KERNELS_NEON)
-    case SimdLevel::kNeon:
-      return true;  // aarch64 baseline.
-#endif
-    default:
-      return false;
-  }
-}
-
-SimdLevel BestSupportedLevel() {
-#if defined(TOTORO_KERNELS_X86)
-  if (LevelSupported(SimdLevel::kAvx2)) {
-    return SimdLevel::kAvx2;
-  }
-  return SimdLevel::kSse2;
-#elif defined(TOTORO_KERNELS_NEON)
-  return SimdLevel::kNeon;
+  return level == SimdLevel::kAvx2 ? &kAvx2Table : &kScalarTable;
 #else
-  return SimdLevel::kScalar;
+  return &kScalarTable;
 #endif
+}
+
+bool CpuHasAvx2() {
+#if defined(TOTORO_KERNELS_X86)
+  return __builtin_cpu_supports("avx2") != 0;
+#else
+  return false;
+#endif
+}
+
+// The level actually run for `level`: avx2 falls back to scalar on a CPU without it.
+SimdLevel Clamp(SimdLevel level) {
+  return level == SimdLevel::kAvx2 && CpuHasAvx2() ? SimdLevel::kAvx2 : SimdLevel::kScalar;
 }
 
 // The active table. Resolved on first use; SetSimdLevelForTest swaps it (tests only —
@@ -644,12 +211,8 @@ const char* SimdLevelName(SimdLevel level) {
   switch (level) {
     case SimdLevel::kScalar:
       return "scalar";
-    case SimdLevel::kSse2:
-      return "sse2";
     case SimdLevel::kAvx2:
       return "avx2";
-    case SimdLevel::kNeon:
-      return "neon";
   }
   return "unknown";
 }
@@ -660,40 +223,27 @@ SimdLevel ActiveSimdLevel() {
 }
 
 std::vector<SimdLevel> SupportedSimdLevels() {
-  std::vector<SimdLevel> out;
-  for (SimdLevel level :
-       {SimdLevel::kScalar, SimdLevel::kSse2, SimdLevel::kAvx2, SimdLevel::kNeon}) {
-    if (LevelSupported(level)) {
-      out.push_back(level);
-    }
+  std::vector<SimdLevel> out = {SimdLevel::kScalar};
+  if (CpuHasAvx2()) {
+    out.push_back(SimdLevel::kAvx2);
   }
   return out;
 }
 
 SimdLevel ResolveSimdLevelFromEnv() {
   const char* env = EnvString("TOTORO_SIMD");
-  if (env == nullptr) {
-    return BestSupportedLevel();
-  }
-  const std::string v(env);
-  SimdLevel wanted = SimdLevel::kScalar;
+  const std::string v = env == nullptr ? "avx2" : env;
   if (v == "scalar") {
-    wanted = SimdLevel::kScalar;
-  } else if (v == "sse2") {
-    wanted = SimdLevel::kSse2;
-  } else if (v == "avx2") {
-    wanted = SimdLevel::kAvx2;
-  } else if (v == "neon") {
-    wanted = SimdLevel::kNeon;
-  } else {
-    CheckFailed(__FILE__, __LINE__,
-                "unknown TOTORO_SIMD value; accepted: scalar, sse2, avx2, neon");
+    return SimdLevel::kScalar;
   }
-  return LevelSupported(wanted) ? wanted : BestSupportedLevel();
+  if (v != "avx2") {
+    CheckFailed(__FILE__, __LINE__, "unknown TOTORO_SIMD value; accepted: scalar, avx2");
+  }
+  return Clamp(SimdLevel::kAvx2);
 }
 
 SimdLevel SetSimdLevelForTest(SimdLevel level) {
-  const SimdLevel installed = LevelSupported(level) ? level : BestSupportedLevel();
+  const SimdLevel installed = Clamp(level);
   g_level.store(static_cast<int>(installed), std::memory_order_relaxed);
   g_table.store(TableFor(installed), std::memory_order_release);
   return installed;

@@ -1,20 +1,23 @@
-// Explicitly vectorized inner-loop kernels for the model math hot path.
+// Inner-loop kernels for the model math hot path.
 //
 // Every kernel here is ELEMENTWISE (axpy / scale / relu / lerp / int8-axpy): each
 // output element is computed by the same sequence of IEEE operations regardless of
-// vector width, so the SSE2/AVX2/NEON paths are bit-identical to the scalar reference
-// — no reductions are reassociated, no FMA contraction is emitted (mul + add stay
-// separate instructions). That is the contract that lets the training path vectorize
-// while the committed bench fingerprints (bit-exact per seed) stay unchanged; the
-// parity tests in tests/kernels_test.cc enforce it at every dispatch level.
+// vector width. Each kernel is one plain loop in kernels.cc, compiled twice: for the
+// build's baseline ISA (the compiler vectorizes it for SSE2 on x86-64, NEON on
+// aarch64) and for AVX2. The compiler does the vectorizing, so no reduction is
+// reassociated, and totoro_ml builds with -ffp-contract=off, so no mul + add is fused
+// into an FMA on any ISA. Both levels are therefore bit-identical to the unfused
+// reference. That is the contract that lets the training path vectorize while the
+// committed bench fingerprints (bit-exact per seed) stay unchanged; the parity tests in
+// tests/kernels_test.cc enforce it at every dispatch level.
 //
 // Reductions that would reassociate under vectorization (the sequential float Dot used
-// by backprop's MulMatT, softmax's exp-sum) deliberately stay scalar; softmax's
-// row max IS vectorized because max is exact under any association.
+// by backprop's MulMatT, softmax's exp-sum) stay sequential, and so does softmax's row
+// max, which is exact in any order but too short to be worth vectorizing.
 //
-// Dispatch is resolved once at startup: highest level the CPU supports, overridable
-// with the TOTORO_SIMD env knob (scalar|sse2|avx2|neon) or SetSimdLevelForTest().
-// Because all levels are bit-identical, the choice never affects simulation results —
+// Dispatch is resolved once at startup: AVX2 when the CPU has it, else scalar;
+// overridable with the TOTORO_SIMD env knob (scalar|avx2) or SetSimdLevelForTest().
+// Because both levels are bit-identical, the choice never affects simulation results —
 // only wall-clock speed.
 #ifndef SRC_ML_KERNELS_H_
 #define SRC_ML_KERNELS_H_
@@ -26,10 +29,8 @@
 namespace totoro {
 
 enum class SimdLevel : int {
-  kScalar = 0,  // Plain loops (also the semantic reference and the fallback ISA).
-  kSse2 = 1,    // x86-64 baseline 4-wide.
-  kAvx2 = 2,    // 8-wide, runtime-detected.
-  kNeon = 3,    // aarch64 baseline 4-wide.
+  kScalar = 0,  // The loops compiled for the build's baseline ISA (SSE2, NEON, ...).
+  kAvx2 = 1,    // The same loops compiled for AVX2 (x86-64 only), runtime-detected.
 };
 
 const char* SimdLevelName(SimdLevel level);
@@ -41,9 +42,9 @@ SimdLevel ActiveSimdLevel();
 // kScalar). Parity tests sweep this list.
 std::vector<SimdLevel> SupportedSimdLevels();
 
-// The level TOTORO_SIMD selects, read now: unset = the best level the CPU supports; a
-// known level the CPU lacks clamps to that best level; any other value CHECK-fails
-// with the accepted values. The dispatch table resolves through this on first use.
+// The level TOTORO_SIMD selects, read now: unset = the best level the CPU supports;
+// "avx2" on a CPU without AVX2 clamps to scalar; any other value CHECK-fails with the
+// accepted values (scalar, avx2). The dispatch table resolves through this on first use.
 SimdLevel ResolveSimdLevelFromEnv();
 
 // Forces a dispatch level (clamped to supported ones; returns the level actually
@@ -77,7 +78,7 @@ float KMax(const float* x, size_t n);
 // x[i] /= denom
 void KDiv(float* x, float denom, size_t n);
 
-// In-place softmax over x[0..n): vectorized max, scalar exp + sequential sum (the sum
+// In-place softmax over x[0..n): sequential max, scalar exp + sequential sum (the sum
 // order is part of the fingerprinted numerics), vectorized divide.
 void KSoftmax(float* x, size_t n);
 

@@ -170,10 +170,11 @@ void MetricsRegistry::MergeFrom(const MetricsRegistry& other) {
 MetricsRegistry& GlobalMetrics() {
   // One registry per THREAD (see GlobalTracer): parallel bench trials record into
   // their worker thread's registry, keeping hot-path recording lock-free. Hot-path
-  // caches of series pointers must therefore be thread_local too.
+  // caches of series pointers must therefore be thread_local too. Destroyed when its
+  // thread exits, like GlobalTracer().
   // LINT: thread-confined this IS the per-thread sink; folds run with workers parked.
-  static thread_local MetricsRegistry* registry = new MetricsRegistry();
-  return *registry;
+  static thread_local MetricsRegistry registry;
+  return registry;
 }
 
 }  // namespace totoro

@@ -134,10 +134,10 @@ Tracer& GlobalTracer() {
   // One tracer per THREAD: the simulation itself is single-threaded, but the parallel
   // bench runner fans independent Simulators across worker threads, and each must see
   // its own isolated span sink for trials to stay bit-identical to sequential runs.
-  // Intentionally leaked so destruction order never races thread teardown.
+  // Destroyed when its thread exits, so an exited worker's spans are not retained.
   // LINT: thread-confined this IS the per-thread sink; folds run with workers parked.
-  static thread_local Tracer* tracer = new Tracer();
-  return *tracer;
+  static thread_local Tracer tracer;
+  return tracer;
 }
 
 }  // namespace totoro

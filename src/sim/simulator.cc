@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <string>
 #include <utility>
 
 #include "src/common/check.h"
@@ -42,6 +43,11 @@ double Simulator::WallClockSeconds() {
 
 Simulator::Simulator(size_t num_shards) : num_shards_(num_shards) {
   CHECK_GE(num_shards, size_t{1});
+  if (num_shards > kMaxShards) {
+    const std::string message = "Simulator: " + std::to_string(num_shards) +
+                                " shards exceed kMaxShards = " + std::to_string(kMaxShards);
+    CheckFailed(__FILE__, __LINE__, message.c_str());
+  }
   GlobalTracer().SetClockSource(&now_);
   SetLogTimeSource(&now_);
   GlobalProfiler().SetClockSource(&now_);

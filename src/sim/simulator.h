@@ -72,10 +72,15 @@ using HostId = uint32_t;
 
 class Simulator {
  public:
+  // The largest shard count K. Each shard is a worker thread, so a mistyped K would
+  // otherwise start thousands of threads; no host this runs on has this many cores.
+  static constexpr size_t kMaxShards = 256;
+
   // Registers this simulator's clock as the thread-wide virtual-time source for the
   // tracer, the logger and the profiler; the destructor deregisters it (only if still
   // the active source, so nested/successive simulators behave sanely). K>1 starts one
-  // worker thread per shard; K=1 starts none.
+  // worker thread per shard; K=1 starts none. CHECK-fails unless
+  // 1 <= num_shards <= kMaxShards.
   explicit Simulator(size_t num_shards = 1);
   ~Simulator();
   Simulator(const Simulator&) = delete;

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdlib>
 #include <set>
+#include <string>
 
+#include "src/common/env.h"
 #include "src/common/geo.h"
 #include "src/common/rng.h"
 #include "src/common/sha1.h"
@@ -318,6 +321,38 @@ TEST(GeoTest, HaversineKnownDistance) {
 TEST(GeoTest, RttGrowsWithDistance) {
   EXPECT_LT(EstimateRttMs(10.0), EstimateRttMs(1000.0));
   EXPECT_GT(EstimateRttMs(0.0), 0.0);  // Base latency applies even locally.
+}
+
+// A knob name no binary reads, so these cases cannot leak into another test.
+constexpr char kTestKnob[] = "TOTORO_TEST_COUNT_KNOB";
+
+TEST(EnvTest, CountKnobParsesAndDefaults) {
+  ::unsetenv(kTestKnob);
+  EXPECT_EQ(EnvInt64(kTestKnob, 7, 1), 7);
+  ::setenv(kTestKnob, "", 1);  // Empty means unset.
+  EXPECT_EQ(EnvInt64(kTestKnob, 7, 1), 7);
+  ::setenv(kTestKnob, "12", 1);
+  EXPECT_EQ(EnvInt64(kTestKnob, 7, 1), 12);
+  ::setenv(kTestKnob, "0", 1);
+  EXPECT_EQ(EnvInt64(kTestKnob, 7, 0), 0);
+  ::unsetenv(kTestKnob);
+  EXPECT_EQ(EnvThreadCount(kTestKnob, 3), 3u);
+}
+
+TEST(EnvDeathTest, CountKnobRejectsNonIntegersAndValuesBelowItsMinimum) {
+  for (const char* bad : {"abc", "4x", "1.5", "99999999999999999999999"}) {
+    ::setenv(kTestKnob, bad, 1);
+    EXPECT_DEATH(EnvInt64(kTestKnob, 7, 1),
+                 std::string(kTestKnob) + "=\"" + bad + "\" is not an integer >= 1")
+        << bad;
+  }
+  for (const char* low : {"0", "-1"}) {
+    ::setenv(kTestKnob, low, 1);
+    EXPECT_DEATH(EnvThreadCount(kTestKnob, 1),
+                 std::string(kTestKnob) + "=\"" + low + "\" is not an integer >= 1")
+        << low;
+  }
+  ::unsetenv(kTestKnob);
 }
 
 }  // namespace

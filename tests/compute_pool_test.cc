@@ -123,12 +123,19 @@ TEST(ComputePoolTest, DestructorDrainsQueuedTasks) {
 TEST(ComputePoolTest, ThreadsFromEnvParsesAndDefaults) {
   ::setenv("TOTORO_COMPUTE_THREADS", "6", 1);
   EXPECT_EQ(ComputePool::ThreadsFromEnv(), 6u);
-  ::setenv("TOTORO_COMPUTE_THREADS", "0", 1);
-  EXPECT_EQ(ComputePool::ThreadsFromEnv(), 1u);
-  ::setenv("TOTORO_COMPUTE_THREADS", "junk", 1);
-  EXPECT_EQ(ComputePool::ThreadsFromEnv(), 1u);
   ::unsetenv("TOTORO_COMPUTE_THREADS");
   EXPECT_EQ(ComputePool::ThreadsFromEnv(), 1u);
+}
+
+TEST(ComputePoolDeathTest, ThreadsFromEnvRejectsZeroAndJunk) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  ::setenv("TOTORO_COMPUTE_THREADS", "0", 1);
+  EXPECT_DEATH(ComputePool::ThreadsFromEnv(),
+               "TOTORO_COMPUTE_THREADS=\"0\" is not an integer >= 1");
+  ::setenv("TOTORO_COMPUTE_THREADS", "junk", 1);
+  EXPECT_DEATH(ComputePool::ThreadsFromEnv(),
+               "TOTORO_COMPUTE_THREADS=\"junk\" is not an integer >= 1");
+  ::unsetenv("TOTORO_COMPUTE_THREADS");
 }
 
 // --- Engine-level determinism -------------------------------------------------------

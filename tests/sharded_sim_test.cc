@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <fstream>
 #include <memory>
 #include <string>
@@ -316,6 +317,26 @@ TEST(Simulator, OneShardAcceptsHostsAfterTheFirstRun) {
   EXPECT_EQ(net.num_hosts(), 8u);
   EXPECT_GE(hosts[7].received, 1) << "a host added mid-run must receive";
   EXPECT_GE(hosts[0].received, 1) << "and its reply must come back";
+}
+
+TEST(SimulatorDeathTest, RejectsMoreShardsThanTheMaximum) {
+  // Fails in the constructor, before a single worker thread starts.
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_DEATH({ Simulator sim(Simulator::kMaxShards + 1); },
+               "257 shards exceed kMaxShards = 256");
+}
+
+TEST(SimulatorDeathTest, ShardKnobRejectsZeroNegativeAndJunk) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  for (const char* bad : {"0", "-1", "abc"}) {
+    ::setenv("TOTORO_SIM_SHARDS", bad, 1);
+    EXPECT_DEATH(MakeSimulatorFromEnv(),
+                 std::string("TOTORO_SIM_SHARDS=\"") + bad + "\" is not an integer >= 1")
+        << bad;
+  }
+  ::setenv("TOTORO_SIM_SHARDS", "100000", 1);
+  EXPECT_DEATH(MakeSimulatorFromEnv(), "100000 shards exceed kMaxShards");
+  ::unsetenv("TOTORO_SIM_SHARDS");
 }
 
 TEST(SimulatorDeathTest, ManyShardsRejectHostsAfterTheFirstRun) {
