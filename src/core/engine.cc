@@ -46,6 +46,11 @@ int VirtualNodeCount(int cpu_cores) {
 TotoroEngine::TotoroEngine(Forest* forest, ComputeModel compute, uint64_t seed)
     : forest_(forest), compute_(compute), rng_(seed),
       pool_(std::make_unique<ComputePool>(ComputePool::ThreadsFromEnv())) {
+  if (forest_->pastry().network()->sim()->num_shards() != 1) {
+    CheckFailed(__FILE__, __LINE__,
+                "TotoroEngine runs at K=1 only: its per-app state is not shown to be "
+                "thread-safe, so build its Simulator with one shard");
+  }
   MetricsRegistry& metrics = GlobalMetrics();
   series_.deadline_expired = &metrics.GetCounter("engine.round.deadline_expired");
   series_.train_tasks = &metrics.GetCounter("engine.compute.train_tasks");
@@ -60,7 +65,6 @@ TotoroEngine::TotoroEngine(Forest* forest, ComputeModel compute, uint64_t seed)
   series_.round_duration =
       &metrics.GetHistogram("engine.round.duration_ms", Histogram::DefaultLatencyBoundsMs());
   speed_factors_.assign(forest_->size(), 1.0);
-  bandwidth_factors_.assign(forest_->size(), 1.0);
   // One set of callbacks per scribe node; dispatch on topic inside the engine.
   for (size_t i = 0; i < forest_->size(); ++i) {
     ScribeNode& scribe = forest_->scribe(i);
@@ -86,11 +90,6 @@ TotoroEngine::TotoroEngine(Forest* forest, ComputeModel compute, uint64_t seed)
 void TotoroEngine::SetSpeedFactors(std::vector<double> factors) {
   CHECK_EQ(factors.size(), forest_->size());
   speed_factors_ = std::move(factors);
-}
-
-void TotoroEngine::SetBandwidthFactors(std::vector<double> factors) {
-  CHECK_EQ(factors.size(), forest_->size());
-  bandwidth_factors_ = std::move(factors);
 }
 
 void TotoroEngine::SetComputeThreads(size_t threads) {
@@ -277,7 +276,6 @@ void TotoroEngine::StartRound(AppRuntime& app) {
         // Optimistic initialization: untrained clients look maximally useful.
         info.last_loss = slot.trainer->last_loss() > 0.0f ? slot.trainer->last_loss() : 1e6;
         info.speed_factor = slot.trainer->speed_factor();
-        info.bandwidth_factor = bandwidth_factors_[node];
         clients.push_back(info);
       }
       auto selected = std::make_shared<std::vector<size_t>>(
@@ -464,10 +462,15 @@ void TotoroEngine::OnBroadcast(size_t node_index, const NodeId& topic, uint64_t 
         return update;
       });
   slot.pending = ticket;
+  // Both branches rejoin the result with an event at the virtual completion stamp that
+  // Take()s the ticket, blocking the wall clock (never virtual time) until the pool has
+  // finished. The event's position must not depend on the off-thread result, only on
+  // compute_ms and the order of this call, so event order is the same at every thread
+  // count.
 
   if (app.config.async.has_value()) {
     // Asynchronous protocol: route the update straight to the master; no tree barrier.
-    net->sim()->ScheduleRejoin(
+    net->sim()->Schedule(
         compute_ms,
         [this, node_index, topic, round, train_ctx, ticket, broadcast_data]() mutable {
           LocalUpdate update = ticket.Take();
@@ -496,7 +499,7 @@ void TotoroEngine::OnBroadcast(size_t node_index, const NodeId& topic, uint64_t 
 
   const bool secure = group != nullptr;
   const bool robust = app.config.robust.rule != RobustAggregation::kNone;
-  net->sim()->ScheduleRejoin(
+  net->sim()->Schedule(
       compute_ms, [this, node_index, topic, round, train_ctx, ticket, secure, robust,
                    broadcast_data]() mutable {
         LocalUpdate update = ticket.Take();

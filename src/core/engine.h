@@ -28,15 +28,12 @@ namespace totoro {
 
 class TotoroEngine {
  public:
+  // CHECK-fails unless the forest's simulator has one shard: the engine's per-app state
+  // is not shown to be thread-safe, so it runs at K=1 only.
   TotoroEngine(Forest* forest, ComputeModel compute, uint64_t seed);
 
   // Per-node relative compute speeds (heterogeneous devices). Defaults to 1.0 for all.
   void SetSpeedFactors(std::vector<double> factors);
-
-  // Per-node relative link bandwidth (heterogeneous fleet classes). Defaults to 1.0;
-  // surfaced to selectors through ClientInfo::bandwidth_factor so bandwidth-aware
-  // selection (OortLikeSelector::bandwidth_beta) can prefer well-connected devices.
-  void SetBandwidthFactors(std::vector<double> factors);
 
   // Adversarial hooks, wired from outside the engine (the faultsim layer in tests) so
   // core never depends on faultsim. Both run on the simulator thread.
@@ -200,7 +197,6 @@ class TotoroEngine {
   MetricSeries series_;
   Rng rng_;
   std::vector<double> speed_factors_;
-  std::vector<double> bandwidth_factors_;
   UpdateInterceptor update_interceptor_;
   UpdateInterceptor sybil_provider_;
   // Ordered map: StartAll and WatchdogTick iterate this to schedule rounds, so the walk

@@ -37,8 +37,8 @@ struct DeviceClass {
 std::span<const DeviceClass> DefaultDeviceClasses();
 
 // Deterministically assigns one of `classes` to each of `count` devices by seeded
-// sampling of the fleet fractions. Returns per-device class indices; feed the factors
-// to TotoroEngine::SetSpeedFactors / SetBandwidthFactors and ClientInfo.
+// sampling of the fleet fractions. Returns per-device class indices; feed the speed
+// factors to TotoroEngine::SetSpeedFactors, and either factor to ClientInfo.
 std::vector<size_t> AssignDeviceClasses(size_t count,
                                         std::span<const DeviceClass> classes,
                                         uint64_t seed);

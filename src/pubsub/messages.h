@@ -33,12 +33,15 @@ struct ScribeJoin {
   bool direct = false;
 };
 
-// Down-tree payload (model broadcast). `origin_time` stamps the root's send for
-// dissemination-latency measurement; `depth` counts tree levels traversed.
+// Down-tree payload (model broadcast). `size_bytes` is the payload size every hop
+// forwards (the wire size of a received message may include framing); `origin_time`
+// stamps the root's send for dissemination-latency measurement; `depth` counts tree
+// levels traversed.
 struct ScribeBroadcast {
   NodeId topic;
   uint64_t round = 0;
   std::shared_ptr<const void> data;
+  uint64_t size_bytes = 0;
   SimTime origin_time = 0.0;
   int depth = 0;
 };
@@ -67,11 +70,11 @@ struct ScribeLeave {
   HostId child_host = kInvalidHost;
 };
 
-// Several scribe messages bound for the same (dst, transport, traffic class) within
-// one virtual-time window, coalesced into a single wire envelope (boki-style
-// appendable buffer): one per-message framing header is paid for the whole batch, each
-// inner message costs only a small subheader. Items keep their original opcode, size
-// and trace context so the receiver unpacks them as if they had arrived individually
+// Several scribe messages bound for the same (dst, transport, traffic class) at one
+// virtual instant, coalesced into a single wire envelope (boki-style appendable
+// buffer): one per-message framing header is paid for the whole batch, each inner
+// message costs only a small subheader. Items keep their original opcode, size and
+// trace context so the receiver unpacks them as if they had arrived individually
 // (src/pubsub/wire_batcher.h owns the flush rule and the byte accounting).
 struct BatchEnvelope {
   struct Item {

@@ -71,7 +71,7 @@ AggregationPiece DefaultCombine(const std::vector<AggregationPiece>& pieces) {
 }  // namespace
 
 ScribeNode::ScribeNode(PastryNode* pastry, ScribeConfig config)
-    : pastry_(pastry), config_(config), batcher_(pastry, config.batch),
+    : pastry_(pastry), config_(config), batcher_(pastry, config.coalesce_sends),
       combine_(DefaultCombine) {
   pastry_->SetForwardHandler(kScribeJoin, [this](const NodeId& key, Message& inner,
                                                  HostId next_hop) {
@@ -229,6 +229,7 @@ void ScribeNode::Broadcast(const NodeId& topic, uint64_t round,
   bc.topic = topic;
   bc.round = round;
   bc.data = std::move(data);
+  bc.size_bytes = size_bytes;
   bc.origin_time = pastry_->net()->sim()->Now();
   bc.depth = 0;
   if (state.subscribed) {
@@ -237,16 +238,16 @@ void ScribeNode::Broadcast(const NodeId& topic, uint64_t round,
       on_broadcast_(topic, round, bc);
     }
   }
-  ForwardBroadcastToChildren(state, bc, size_bytes);
+  ForwardBroadcastToChildren(state, bc);
 }
 
-void ScribeNode::ForwardBroadcastToChildren(const TopicState& state, const ScribeBroadcast& bc,
-                                            uint64_t size_bytes) {
+void ScribeNode::ForwardBroadcastToChildren(const TopicState& state,
+                                            const ScribeBroadcast& bc) {
   for (const auto& [child_host, child_id] : state.children) {
     (void)child_id;
     Message m;
     m.type = kScribeBroadcast;
-    m.size_bytes = size_bytes;
+    m.size_bytes = bc.size_bytes;
     m.traffic = TrafficClass::kModel;
     m.transport = Transport::kTcp;
     ScribeBroadcast next = bc;
@@ -274,7 +275,7 @@ void ScribeNode::HandleBroadcast(const Message& msg) {
       on_broadcast_(bc.topic, bc.round, bc);
     }
   }
-  ForwardBroadcastToChildren(state, bc, msg.size_bytes);
+  ForwardBroadcastToChildren(state, bc);
 }
 
 void ScribeNode::SubmitUpdate(const NodeId& topic, uint64_t round, AggregationPiece piece,

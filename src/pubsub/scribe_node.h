@@ -56,9 +56,10 @@ struct ScribeConfig {
   // Requires enable_tree_repair (retries ride the maintenance tick).
   double join_retry_ms = 0.0;
   double join_retry_max_ms = 3200.0;
-  // Wire batching for every direct send this node makes (kOff preserves the exact
-  // pre-batching byte stream; see src/pubsub/wire_batcher.h).
-  WireBatchConfig batch;
+  // Wire batching for every direct send this node makes: coalesce same-instant sends
+  // per edge into framed envelopes (off preserves the exact pre-batching byte stream;
+  // see src/pubsub/wire_batcher.h).
+  bool coalesce_sends = false;
 };
 
 class ScribeNode {
@@ -170,8 +171,7 @@ class ScribeNode {
   // `direct` marks the JOIN as graft-at-rendezvous-only (demotion re-join; see
   // ScribeJoin::direct). Retries preserve the flag via TopicState::join_direct.
   void SendJoin(const NodeId& topic, bool direct = false);
-  void ForwardBroadcastToChildren(const TopicState& state, const ScribeBroadcast& bc,
-                                  uint64_t size_bytes);
+  void ForwardBroadcastToChildren(const TopicState& state, const ScribeBroadcast& bc);
   // Folds a piece into the round and forwards the partial aggregate if complete.
   // `origin_ms` is the submission time of the earliest leaf behind the piece.
   void AccumulateUpdate(TopicState& state, uint64_t round, AggregationPiece piece,

@@ -55,22 +55,11 @@ Histogram& MsgsPerEnvelopeHistogram() {
 }  // namespace
 
 void WireBatcher::Send(HostId dst, Message msg) {
-  switch (config_.mode) {
-    case WireBatchConfig::Mode::kOff:
-      pastry_->SendDirect(dst, std::move(msg));
-      return;
-    case WireBatchConfig::Mode::kAccountOnly:
-      msg.size_bytes += config_.framing_bytes;
-      pastry_->SendDirect(dst, std::move(msg));
-      return;
-    case WireBatchConfig::Mode::kCoalesce:
-      break;
-  }
-  if (!pastry_->alive()) {
-    // A dead sender must not open (or extend) a window: kAccountOnly would hand this
-    // message straight to the network, which records the src-down drop and charges no
-    // bytes. Mirror that exactly so the reconciliation law compares identical drops.
-    msg.size_bytes += config_.framing_bytes;
+  if (!coalesce_ || !pastry_->alive()) {
+    // Off mode is a passthrough. A dead sender must not open (or extend) a queue
+    // either: off mode hands its message straight to the network, which records the
+    // src-down drop and charges no bytes, so coalescing does exactly the same and the
+    // byte law compares identical drops.
     pastry_->SendDirect(dst, std::move(msg));
     return;
   }
@@ -79,9 +68,9 @@ void WireBatcher::Send(HostId dst, Message msg) {
   std::vector<Message>& queue = pending_[key];
   queue.push_back(std::move(msg));
   if (queue.size() == 1) {
-    // First message of the window: arm the flush. Later messages for the same edge
-    // ride the already-armed event.
-    pastry_->net()->sim()->Schedule(config_.window_ms, [this, key]() { Flush(key); });
+    // First message of this instant: arm the zero-delay flush. Later messages for the
+    // same edge at the same instant ride the already-armed event.
+    pastry_->net()->sim()->Schedule(0.0, [this, key]() { Flush(key); });
   }
 }
 
@@ -93,16 +82,15 @@ void WireBatcher::Flush(const EdgeKey& key) {
   std::vector<Message> batch = std::move(it->second);
   pending_.erase(it);
   if (!pastry_->alive()) {
-    // The sender died mid-window and the batch dies with it — but not silently. The
-    // kAccountOnly arm already put each of these messages on the wire (size + framing)
-    // back when the sender was alive, so the batched arm must book the whole batch as
-    // saved bytes to keep the reconciliation law
-    //   bytes(kCoalesce) == bytes(kAccountOnly) - bytes_saved
-    // exact across the crash. Before this accounting, a mid-window crash made the two
-    // arms silently drift by the dead batch's bytes.
+    // The sender died between the sends and the flush they armed, and the batch dies
+    // with it — but not silently. Off mode put each of these messages on the wire at
+    // send time, while the sender was alive, so the batch's framed bytes are booked as
+    // saved to keep the byte law
+    //   bytes(on) + bytes_saved == bytes(off) + kFramingBytes * (messages sent)
+    // exact across the crash.
     uint64_t dead_bytes = 0;
     for (const Message& m : batch) {
-      dead_bytes += m.size_bytes + config_.framing_bytes;
+      dead_bytes += m.size_bytes + kFramingBytes;
     }
     DeadBatchesCounter().Increment();
     DeadBatchMsgsCounter().Increment(batch.size());
@@ -112,10 +100,10 @@ void WireBatcher::Flush(const EdgeKey& key) {
   const HostId dst = std::get<0>(key);
   if (batch.size() == 1) {
     // A lone message gains nothing from an envelope (the subheader would be pure
-    // overhead); it leaves exactly as the kAccountOnly arm would send it.
+    // overhead); it leaves on its own, paying its own framing.
     SinglesCounter().Increment();
     Message single = std::move(batch.front());
-    single.size_bytes += config_.framing_bytes;
+    single.size_bytes += kFramingBytes;
     pastry_->SendDirect(dst, std::move(single));
     return;
   }
@@ -123,24 +111,21 @@ void WireBatcher::Flush(const EdgeKey& key) {
   env.items.reserve(batch.size());
   uint64_t inner_bytes = 0;
   for (Message& m : batch) {
-    inner_bytes += m.size_bytes + config_.subheader_bytes;
+    inner_bytes += m.size_bytes + kSubheaderBytes;
     env.items.push_back(BatchEnvelope::Item{m.type, m.size_bytes, m.trace,
                                             std::move(m.payload)});
   }
   const uint64_t k = batch.size();
   // k messages would have paid k framings; the envelope pays one framing plus k
-  // subheaders. Both sides of this identity are asserted by the reconciliation test.
-  // framing >= 2*subheader guarantees every k >= 2 envelope is a net win.
-  CHECK_GE(config_.framing_bytes, 2 * config_.subheader_bytes);
-  const uint64_t saved =
-      (k - 1) * config_.framing_bytes - k * config_.subheader_bytes;
+  // subheaders. Both sides of this identity are asserted by the byte-law tests.
+  const uint64_t saved = (k - 1) * kFramingBytes - k * kSubheaderBytes;
   EnvelopesCounter().Increment();
   CoalescedCounter().Increment(k);
   BytesSavedCounter().Increment(saved);
   MsgsPerEnvelopeHistogram().Observe(static_cast<double>(k));
   Message wrapper;
   wrapper.type = kScribeBatch;
-  wrapper.size_bytes = config_.framing_bytes + inner_bytes;
+  wrapper.size_bytes = kFramingBytes + inner_bytes;
   wrapper.transport = static_cast<Transport>(std::get<1>(key));
   wrapper.traffic = static_cast<TrafficClass>(std::get<2>(key));
   wrapper.SetPayload(std::move(env));

@@ -3,42 +3,38 @@
 // Per-message overhead on shared edges is one of the two hot paths the round trip
 // pays (the other is model math, src/ml/kernels.h). Every direct scribe send — model
 // broadcasts, gradient aggregates, heartbeats, leaves — models a framing cost per
-// message on the real wire; when several messages traverse the same (dst, transport,
-// traffic class) edge inside one virtual-time window, a BatchEnvelope pays that
+// message on the real wire; when several messages leave one node over the same (dst,
+// transport, traffic class) edge at one virtual instant, a BatchEnvelope pays that
 // framing once and a small subheader per inner message instead.
 //
-// Modes:
-//   kOff         — passthrough, byte-for-byte the pre-batching behavior (default; the
-//                  committed bench baselines are recorded in this mode).
-//   kAccountOnly — every message still sent individually, but charged
-//                  size + framing_bytes. The fair "unbatched" arm for comparisons:
-//                  same framing model, no coalescing.
-//   kCoalesce    — messages are held per edge key; the event queue fires a flush
-//                  window_ms after the first enqueue for that key. A flush with one
-//                  message sends it as-is (size + framing, identical to kAccountOnly);
-//                  k > 1 messages leave as one kScribeBatch envelope of
-//                  framing + sum(size_i + subheader) bytes. Bytes saved per envelope:
-//                  (k-1)*framing - k*subheader.
+// One switch, ScribeConfig::coalesce_sends:
+//   off — passthrough: each message leaves as sent, with no framing charge (the
+//         default; the committed bench baselines are recorded in this mode).
+//   on  — messages are held per edge key until a zero-delay flush event, armed by the
+//         first enqueue for that key, so the sends one node makes at one virtual
+//         instant coalesce (e.g. a maintenance tick's heartbeats for many topics
+//         sharing a child). A flush with one message sends it framed
+//         (size + kFramingBytes); k > 1 messages leave as one kScribeBatch envelope of
+//         kFramingBytes + sum(size_i + kSubheaderBytes) bytes. Bytes saved per
+//         envelope: (k-1)*framing - k*subheader.
 //
 // Determinism: flushes are ordinary simulator events — scheduled when a key's queue
 // goes empty -> non-empty, draining that key in enqueue order — so batching decisions
 // are a pure function of the event sequence and runs stay bit-identical per seed.
-// window_ms = 0 still batches: messages enqueued at the same virtual instant (e.g. a
-// maintenance tick's heartbeats for many topics sharing a child) coalesce before the
-// zero-delay flush event runs.
 //
 // Accounting (obs registry): pubsub.batch.{envelopes,coalesced_msgs,singles,
-// bytes_saved,unpacked_msgs} counters and a msgs-per-envelope histogram. The
-// reconciliation law — bytes(kCoalesce run) == bytes(kAccountOnly run) - bytes_saved —
-// is enforced exactly by tests/wire_batch_test.cc — including across a sender crash
-// mid-window: a flush that finds its node dead books the whole batch (size + framing
-// per message) into bytes_saved and bumps pubsub.batch.{dead_batches,dead_batch_msgs},
-// since the unbatched arm had already charged those messages to the wire before the
-// crash; and a Send() on an already-dead node bypasses the window entirely, taking the
-// kAccountOnly path so both arms record the identical src-down drop.
-// Inner messages are delivered via
-// Unpack() on the receiver and never re-enter Network::Send, so nothing double-counts
-// through Message::hops or the traffic metrics.
+// bytes_saved,unpacked_msgs} counters and a msgs-per-envelope histogram. Wire bytes
+// plus bytes_saved are the bytes the same sends would cost framed one by one, so
+// tests/wire_batch_test.cc enforces, against an off-mode run of the same schedule,
+//   bytes(on) + bytes_saved == bytes(off) + kFramingBytes * (messages sent)
+// — including across a sender crash between the sends and their flush: a flush that
+// finds its node dead books the whole batch (size + framing per message) into
+// bytes_saved and bumps pubsub.batch.{dead_batches,dead_batch_msgs}, since off mode
+// had already put those messages on the wire before the crash; and a Send() on an
+// already-dead node bypasses the queue, exactly as off mode does, so both modes record
+// the identical src-down drop. Inner messages are delivered via Unpack() on the
+// receiver and never re-enter Network::Send, so nothing double-counts through
+// Message::hops or the traffic metrics.
 #ifndef SRC_PUBSUB_WIRE_BATCHER_H_
 #define SRC_PUBSUB_WIRE_BATCHER_H_
 
@@ -53,24 +49,19 @@
 
 namespace totoro {
 
-struct WireBatchConfig {
-  enum class Mode { kOff, kAccountOnly, kCoalesce };
-  Mode mode = Mode::kOff;
-  // Coalesce window: how long the first message of a batch waits for companions.
-  double window_ms = 0.0;
-  // Modeled per-message wire framing (link header + per-datagram cost).
-  uint64_t framing_bytes = 28;
-  // Per-inner-message subheader inside an envelope (opcode + length).
-  uint64_t subheader_bytes = 4;
-};
-
 class WireBatcher {
  public:
-  WireBatcher(PastryNode* pastry, WireBatchConfig config)
-      : pastry_(pastry), config_(config) {}
+  // Modelled per-message wire framing (link header + per-datagram cost).
+  static constexpr uint64_t kFramingBytes = 28;
+  // Per-inner-message subheader inside an envelope (opcode + length).
+  static constexpr uint64_t kSubheaderBytes = 4;
+  // Makes every k >= 2 envelope a net win: (k-1)*framing - k*subheader > 0.
+  static_assert(kFramingBytes >= 2 * kSubheaderBytes);
 
-  // Sends (or enqueues) a direct message according to the mode. `msg.dst`/`src` are
-  // stamped by PastryNode::SendDirect at actual send time.
+  WireBatcher(PastryNode* pastry, bool coalesce) : pastry_(pastry), coalesce_(coalesce) {}
+
+  // Sends a direct message, or with coalescing on enqueues it for this instant's
+  // flush. `msg.dst`/`src` are stamped by PastryNode::SendDirect at actual send time.
   void Send(HostId dst, Message msg);
 
   // Unpacks a kScribeBatch envelope on the receiver, invoking `deliver` for each inner
@@ -78,8 +69,6 @@ class WireBatcher {
   // through Network::Send again.
   void Unpack(const Message& envelope,
               const std::function<void(const Message&)>& deliver);
-
-  const WireBatchConfig& config() const { return config_; }
 
  private:
   // One queue per tree edge + wire path: batching across transports or traffic
@@ -89,7 +78,7 @@ class WireBatcher {
   void Flush(const EdgeKey& key);
 
   PastryNode* pastry_;
-  WireBatchConfig config_;
+  bool coalesce_;
   // Ordered map: drained per-key by flush events; ordered so any future whole-map walk
   // is schedule-safe (totoro_lint R2).
   std::map<EdgeKey, std::vector<Message>> pending_;

@@ -1,17 +1,10 @@
 #include "src/sim/metrics.h"
 
 #include "src/common/check.h"
-#include "src/sim/shard_slot.h"
 
 namespace totoro {
 
 void NetworkMetrics::Reserve(size_t n) { hosts_.reserve(n); }
-
-void NetworkMetrics::ShardGlobalTotals(size_t num_slots) {
-  CHECK_GE(num_slots, size_t{1});
-  CHECK_EQ(total_messages_ + total_bytes_ + dropped_messages_, uint64_t{0});
-  lanes_.assign(num_slots, TotalsLane{});
-}
 
 void NetworkMetrics::EnsureHosts(size_t n) {
   if (hosts_.size() < n) {
@@ -30,14 +23,6 @@ void NetworkMetrics::RecordSend(const Message& msg) {
     t.bytes_sent_udp += msg.size_bytes;
   }
   t.bytes_sent_by_class[static_cast<size_t>(msg.traffic)] += msg.size_bytes;
-  if (lanes_.empty()) {
-    ++total_messages_;
-    total_bytes_ += msg.size_bytes;
-  } else {
-    TotalsLane& lane = lanes_[internal::ThreadShardSlot()];
-    ++lane.total_messages;
-    lane.total_bytes += msg.size_bytes;
-  }
 }
 
 void NetworkMetrics::RecordDelivery(const Message& msg) {
@@ -49,47 +34,27 @@ void NetworkMetrics::RecordDelivery(const Message& msg) {
 
 void NetworkMetrics::RecordDrop(HostId host, TrafficClass traffic) {
   CHECK_LT(host, hosts_.size());
-  ++hosts_[host].traffic.msgs_dropped;
-  if (lanes_.empty()) {
-    ++drops_by_class_[static_cast<size_t>(traffic)];
-    ++dropped_messages_;
-  } else {
-    TotalsLane& lane = lanes_[internal::ThreadShardSlot()];
-    ++lane.drops_by_class[static_cast<size_t>(traffic)];
-    ++lane.dropped_messages;
-  }
+  uint32_t& drops = hosts_[host].traffic.msgs_dropped_by_class[static_cast<size_t>(traffic)];
+  CHECK_LT(drops, UINT32_MAX);
+  ++drops;
 }
 
 uint64_t NetworkMetrics::total_messages() const {
-  uint64_t total = total_messages_;
-  for (const TotalsLane& lane : lanes_) {
-    total += lane.total_messages;
-  }
-  return total;
+  return SumHosts([](const HostAccounting& h) { return h.traffic.msgs_sent; });
 }
 
 uint64_t NetworkMetrics::total_bytes() const {
-  uint64_t total = total_bytes_;
-  for (const TotalsLane& lane : lanes_) {
-    total += lane.total_bytes;
-  }
-  return total;
+  return SumHosts([](const HostAccounting& h) { return h.traffic.bytes_sent; });
 }
 
 uint64_t NetworkMetrics::dropped_messages() const {
-  uint64_t total = dropped_messages_;
-  for (const TotalsLane& lane : lanes_) {
-    total += lane.dropped_messages;
-  }
-  return total;
+  return SumHosts([](const HostAccounting& h) { return h.traffic.msgs_dropped(); });
 }
 
 uint64_t NetworkMetrics::DroppedByClass(TrafficClass c) const {
-  uint64_t total = drops_by_class_[static_cast<size_t>(c)];
-  for (const TotalsLane& lane : lanes_) {
-    total += lane.drops_by_class[static_cast<size_t>(c)];
-  }
-  return total;
+  return SumHosts([c](const HostAccounting& h) -> uint64_t {
+    return h.traffic.msgs_dropped_by_class[static_cast<size_t>(c)];
+  });
 }
 
 void NetworkMetrics::ChargeWork(HostId host, WorkKind kind, double units) {
@@ -104,30 +69,17 @@ void NetworkMetrics::AdjustStateBytes(HostId host, int64_t delta) {
 }
 
 uint64_t NetworkMetrics::TotalBytesTcp() const {
-  uint64_t total = 0;
-  for (const auto& h : hosts_) {
-    const auto& t = h.traffic;
-    total += t.bytes_sent_tcp;
-  }
-  return total;
+  return SumHosts([](const HostAccounting& h) { return h.traffic.bytes_sent_tcp; });
 }
 
 uint64_t NetworkMetrics::TotalBytesUdp() const {
-  uint64_t total = 0;
-  for (const auto& h : hosts_) {
-    const auto& t = h.traffic;
-    total += t.bytes_sent_udp;
-  }
-  return total;
+  return SumHosts([](const HostAccounting& h) { return h.traffic.bytes_sent_udp; });
 }
 
 uint64_t NetworkMetrics::TotalBytesByClass(TrafficClass c) const {
-  uint64_t total = 0;
-  for (const auto& h : hosts_) {
-    const auto& t = h.traffic;
-    total += t.bytes_sent_by_class[static_cast<size_t>(c)];
-  }
-  return total;
+  return SumHosts([c](const HostAccounting& h) {
+    return h.traffic.bytes_sent_by_class[static_cast<size_t>(c)];
+  });
 }
 
 double NetworkMetrics::TotalWork(WorkKind kind) const {
@@ -147,14 +99,9 @@ int64_t NetworkMetrics::TotalStateBytes() const {
 }
 
 void NetworkMetrics::PublishTo(MetricsRegistry& registry) const {
-  uint64_t msgs_sent = 0;
-  uint64_t hosts_with_drops = 0;
-  for (const auto& h : hosts_) {
-    const auto& t = h.traffic;
-    msgs_sent += t.msgs_sent;
-    hosts_with_drops += t.msgs_dropped > 0 ? 1 : 0;
-  }
-  registry.GetGauge("net.msgs.sent").Set(static_cast<double>(msgs_sent));
+  const uint64_t hosts_with_drops = SumHosts(
+      [](const HostAccounting& h) -> uint64_t { return h.traffic.msgs_dropped() > 0; });
+  registry.GetGauge("net.msgs.sent").Set(static_cast<double>(total_messages()));
   registry.GetGauge("net.msgs.dropped").Set(static_cast<double>(dropped_messages()));
   registry.GetGauge("net.hosts.with_drops").Set(static_cast<double>(hosts_with_drops));
   registry.GetGauge("net.bytes.sent").Set(static_cast<double>(total_bytes()));
@@ -176,13 +123,6 @@ void NetworkMetrics::PublishTo(MetricsRegistry& registry) const {
 void NetworkMetrics::Reset() {
   for (auto& h : hosts_) {
     h = HostAccounting{};
-  }
-  total_messages_ = 0;
-  total_bytes_ = 0;
-  dropped_messages_ = 0;
-  drops_by_class_.fill(0);
-  for (TotalsLane& lane : lanes_) {
-    lane = TotalsLane{};
   }
 }
 

@@ -1,10 +1,17 @@
-// Per-host and global traffic/work accounting.
+// Per-host traffic/work accounting, and network totals summed from it.
 //
 // Fig. 7 reports traffic per node by transport (TCP vs UDP); Fig. 13 splits work into
 // FL-related and DHT-related. Because the testbed here is a simulator, overhead is
 // tracked by explicit accounting: every sent message updates byte counters, and protocol
 // layers report abstract "work units" (a proxy for CPU time) and state bytes (a proxy
 // for resident memory).
+//
+// Every send, drop and delivery is counted once, in the entry of the host where it
+// happened (the sender, the host where the message died, the receiver), and every
+// network-wide figure is a sum over the entries. During a K>1 run only the worker that
+// runs a host writes that host's entry, and control events run with every worker
+// parked, so the accounting needs no per-thread state. A total costs O(hosts) per
+// read; totals are read outside runs (snapshots, PublishTo, benches).
 #ifndef SRC_SIM_METRICS_H_
 #define SRC_SIM_METRICS_H_
 
@@ -21,12 +28,22 @@ namespace totoro {
 struct HostTraffic {
   uint64_t msgs_sent = 0;
   uint64_t msgs_recv = 0;
-  uint64_t msgs_dropped = 0;  // Drops attributed to this host (down, lossy, filtered).
   uint64_t bytes_sent = 0;
   uint64_t bytes_recv = 0;
   uint64_t bytes_sent_tcp = 0;
   uint64_t bytes_sent_udp = 0;
   std::array<uint64_t, kNumTrafficClasses> bytes_sent_by_class{};
+  // Drops attributed to this host (down, lost, filtered), per traffic class. 32-bit
+  // keeps the entry small; RecordDrop CHECK-fails rather than wrap.
+  std::array<uint32_t, kNumTrafficClasses> msgs_dropped_by_class{};
+
+  uint64_t msgs_dropped() const {
+    uint64_t total = 0;
+    for (const uint32_t n : msgs_dropped_by_class) {
+      total += n;
+    }
+    return total;
+  }
 };
 
 // Work categories for Fig. 13's CPU-overhead split.
@@ -47,13 +64,6 @@ class NetworkMetrics {
   void EnsureHosts(size_t n);
   // Pre-sizes per-host accounting for a known-size topology.
   void Reserve(size_t n);
-
-  // Sharded-simulation mode: gives each of `num_slots` threads (coordinator + shard
-  // workers, indexed by internal::ThreadShardSlot()) a private cache-line-aligned lane
-  // for the global totals, so concurrent Record* calls never contend. Getters fold all
-  // lanes; totals are sums of per-thread sums, so folds are order-independent. Per-host
-  // entries need no lanes — a host is only ever touched by the thread owning its shard.
-  void ShardGlobalTotals(size_t num_slots);
 
   void RecordSend(const Message& msg);
   void RecordDelivery(const Message& msg);
@@ -111,21 +121,17 @@ class NetworkMetrics {
     HostTraffic traffic;
   };
 
-  // One thread's lane of the global totals (sharded mode only). Cache-line aligned so
-  // neighbouring lanes never false-share on the hot send path.
-  struct alignas(64) TotalsLane {
-    uint64_t total_messages = 0;
-    uint64_t total_bytes = 0;
-    uint64_t dropped_messages = 0;
-    std::array<uint64_t, kNumTrafficClasses> drops_by_class{};
-  };
+  // Sums `field(entry)` over every host entry.
+  template <typename Field>
+  uint64_t SumHosts(Field field) const {
+    uint64_t total = 0;
+    for (const HostAccounting& h : hosts_) {
+      total += field(h);
+    }
+    return total;
+  }
 
   std::vector<HostAccounting> hosts_;
-  uint64_t total_messages_ = 0;
-  uint64_t total_bytes_ = 0;
-  uint64_t dropped_messages_ = 0;
-  std::array<uint64_t, kNumTrafficClasses> drops_by_class_{};
-  std::vector<TotalsLane> lanes_;  // Empty in single-threaded mode (scalar path).
 };
 
 }  // namespace totoro

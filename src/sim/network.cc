@@ -14,9 +14,6 @@ Network::Network(Simulator* sim, std::unique_ptr<LatencyModel> latency, NetworkC
     : sim_(sim), latency_(std::move(latency)), config_(config) {
   CHECK(sim_ != nullptr);
   CHECK(latency_ != nullptr);
-  if (sim_->num_shards() > 1) {
-    metrics_.ShardGlobalTotals(1 + sim_->num_shards());
-  }
 }
 
 HostId Network::AddHost(Host* host) {
@@ -53,19 +50,15 @@ void Network::SetHostBandwidth(HostId id, double bytes_per_ms) {
 void Network::Send(Message msg) {
   CHECK_LT(msg.src, hosts_.size());
   CHECK_LT(msg.dst, hosts_.size());
-  // Sender phase: reads/writes only the sender's state, the destination's bandwidth
-  // (configuration), the loss/fault hooks (fixed during K>1 windows), and this
-  // thread's metrics lane.
+  // Sender phase: reads/writes only the sender's state and accounting entry, the
+  // destination's bandwidth (configuration) and the fault hook (fixed during K>1
+  // windows).
   auto& src = hosts_[msg.src];
   if (!src.up) {
     metrics_.RecordDrop(msg.src, msg.traffic);
     return;
   }
   metrics_.RecordSend(msg);
-  if (loss_fn_ && loss_fn_(msg)) {
-    metrics_.RecordDrop(msg.src, msg.traffic);
-    return;
-  }
   FaultAction fault;
   if (fault_fn_ && fault_fn_(msg, &fault) && fault.drop) {
     metrics_.RecordDrop(msg.src, msg.traffic);

@@ -63,21 +63,17 @@ class Network {
   // Overrides the uplink/downlink bandwidth of one host (e.g. a beefy parameter server).
   void SetHostBandwidth(HostId id, double bytes_per_ms);
 
-  // Sends msg from msg.src to msg.dst. src must be up; if dst is down or the message is
-  // lost, it is dropped (counted in metrics). Self-sends are delivered with loopback
-  // latency.
+  // Sends msg from msg.src to msg.dst. A down src or the fault hook drops it at the
+  // sender, a dst down at delivery drops it there (each counted in metrics). Self-sends
+  // are delivered with loopback latency.
   void Send(Message msg);
 
-  // Optional per-message loss hook: return true to drop. Used for unreliable-link
-  // experiments at the transport level.
-  void SetLossFn(std::function<bool(const Message&)> fn) { loss_fn_ = std::move(fn); }
-
-  // Optional per-message fault hook (partitions, correlated flaps, duplicate/delay
-  // injection — see src/faultsim). Runs after loss_fn_; fills `*action` and returns
-  // true when the message is affected. At most one hook; the FaultInjector owns it.
+  // Optional per-message fault hook, the one hook on the send path (message loss,
+  // partitions, correlated flaps, duplicate/delay injection — see src/faultsim). Runs
+  // once per send, after the send is accounted; fills `*action` and returns true when
+  // the message is affected. At most one hook; a FaultInjector owns it when present.
   using FaultFn = std::function<bool(const Message&, FaultAction*)>;
   void SetFaultFn(FaultFn fn) { fault_fn_ = std::move(fn); }
-  bool HasFaultFn() const { return fault_fn_ != nullptr; }
 
   double LatencyMs(HostId a, HostId b) const { return latency_->LatencyMs(a, b); }
   const LatencyModel& latency_model() const { return *latency_; }
@@ -108,7 +104,6 @@ class Network {
   NetworkConfig config_;
   std::vector<HostState> hosts_;
   NetworkMetrics metrics_;
-  std::function<bool(const Message&)> loss_fn_;
   FaultFn fault_fn_;
 };
 

@@ -11,7 +11,6 @@
 #include "src/common/logging.h"
 #include "src/obs/metrics_registry.h"
 #include "src/obs/profiler.h"
-#include "src/sim/shard_slot.h"
 
 namespace totoro {
 
@@ -171,15 +170,6 @@ EventHandle Simulator::ScheduleAt(SimTime at, EventFn fn) {
                                           std::move(fn));
   }
   return control_.Push(at, NextControlKey(), kControlExec, std::move(fn));
-}
-
-EventHandle Simulator::ScheduleRejoin(SimTime delay, EventFn fn) {
-  if (OnWorker()) {
-    ++shards_[tls_worker.shard]->rejoins;  // Folded into rejoins_scheduled_ at run end.
-  } else {
-    ++rejoins_scheduled_;
-  }
-  return Schedule(delay, std::move(fn));
 }
 
 EventHandle Simulator::ScheduleMessageArrival(HostId src, HostId dst, SimTime at,
@@ -371,7 +361,6 @@ size_t Simulator::RunWorkerWindows(SimTime end) {
 }
 
 void Simulator::WorkerMain(size_t shard_index) {
-  internal::ThreadShardSlot() = 1 + shard_index;
   tls_worker = WorkerIdentity{this, shard_index};
   Shard& shard = *shards_[shard_index];
   shard.ctx = ExecContext{kControlExec, static_cast<uint32_t>(shard_index)};
@@ -455,8 +444,6 @@ void Simulator::FoldObservability() {
       main_profiler.MergeFrom(*shard->profiler);
       shard->profiler->Reset();
     }
-    rejoins_scheduled_ += shard->rejoins;
-    shard->rejoins = 0;
   }
 }
 

@@ -94,16 +94,6 @@ class Simulator {
   EventHandle Schedule(SimTime delay, EventFn fn);
   EventHandle ScheduleAt(SimTime at, EventFn fn);
 
-  // Schedules a completion-stamp rejoin: an event whose callback is allowed to BLOCK
-  // the wall clock waiting for work running off the simulator thread (e.g. a
-  // ComputePool ticket) before folding the result into the event stream. Virtual-time
-  // semantics are exactly Schedule(); the separate entry point documents the contract
-  // and keeps a deterministic count so tests can assert the offload actually engaged.
-  // The rejoin's position in the queue — and hence everything downstream — must not
-  // depend on the off-thread result, only on `delay` and the call site's order.
-  EventHandle ScheduleRejoin(SimTime delay, EventFn fn);
-  uint64_t rejoins_scheduled() const { return rejoins_scheduled_; }
-
   // Runs events until the queues drain or `max_events` fire. Returns events fired.
   // K>1 treats `max_events` as a window-granular bound.
   size_t Run(size_t max_events = SIZE_MAX);
@@ -189,7 +179,6 @@ class Simulator {
     SimTime window_end = 0.0;
     uint64_t window_fired = 0;     // Events run in the most recent window.
     SimTime window_last_at = 0.0;  // Fire time of the last event in that window.
-    uint64_t rejoins = 0;          // Folded into rejoins_scheduled_ at run end.
     // One outbox per destination shard; drained by the coordinator at barriers.
     std::vector<std::vector<PendingCrossShard>> outbox;
     // The worker thread's thread-local observability sinks, published at thread start
@@ -240,8 +229,8 @@ class Simulator {
   void WorkerMain(size_t shard_index);
   // Moves every outbox entry into its destination shard's queue (workers parked).
   void DrainOutboxes();
-  // Appends host-event spans in span-id order and folds worker metrics, profiles and
-  // rejoin counts into the calling thread's sinks (workers parked).
+  // Appends host-event spans in span-id order and folds worker metrics and profiles
+  // into the calling thread's sinks (workers parked).
   void FoldObservability();
   // Folds queue-side cancellations observed since the last sync into the counter.
   void SyncCancelledCounter();
@@ -258,7 +247,6 @@ class Simulator {
   const size_t num_shards_;
   SimTime now_ = 0.0;
   uint64_t events_fired_ = 0;
-  uint64_t rejoins_scheduled_ = 0;
   uint64_t cancelled_synced_ = 0;
   double run_wall_seconds_ = 0.0;
   bool running_ = false;

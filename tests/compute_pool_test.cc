@@ -157,7 +157,7 @@ struct EngineArtifacts {
   std::string trace;
   std::string metrics;
   std::vector<AppResult> results;
-  uint64_t rejoins = 0;
+  uint64_t train_tasks = 0;  // Training tasks handed to the pool.
 };
 
 // One world exercising every offloaded path: a secure-aggregation app with Oort-like
@@ -224,7 +224,8 @@ EngineArtifacts RunEngineWorld(size_t threads) {
     EXPECT_TRUE(engine.RunToCompletion());
     out.results.push_back(engine.result(secure_topic));
     out.results.push_back(engine.result(async_topic));
-    out.rejoins = sim.rejoins_scheduled();
+    const Counter* train_tasks = GlobalMetrics().FindCounter("engine.compute.train_tasks");
+    out.train_tasks = train_tasks == nullptr ? 0 : train_tasks->value();
   }
   out.trace = TraceToChromeJson(GlobalTracer());
   out.metrics = MetricsToJson(GlobalMetrics());
@@ -239,8 +240,8 @@ TEST(ComputePoolDeterminismTest, FourThreadEngineRunIsByteIdenticalToSequential)
   const EngineArtifacts parallel = RunEngineWorld(4);
 
   // Training actually went through the offload path in both runs.
-  EXPECT_GT(sequential.rejoins, 0u);
-  EXPECT_EQ(sequential.rejoins, parallel.rejoins);
+  EXPECT_GT(sequential.train_tasks, 0u);
+  EXPECT_EQ(sequential.train_tasks, parallel.train_tasks);
 
   EXPECT_EQ(sequential.trace, parallel.trace) << "trace export depends on thread count";
   EXPECT_EQ(sequential.metrics, parallel.metrics)

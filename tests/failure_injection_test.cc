@@ -66,7 +66,10 @@ TEST(FaultInjectionTest, RandomMessageLossWithTimeoutsStillFinishes) {
   FaultWorld world(60, scribe_config);
   const NodeId topic = world.LaunchApp(15, 5, 910);
   Rng loss_rng(911);
-  world.net->SetLossFn([&loss_rng](const Message&) { return loss_rng.Bernoulli(0.10); });
+  world.net->SetFaultFn([&loss_rng](const Message&, FaultAction* action) {
+    action->drop = loss_rng.Bernoulli(0.10);
+    return action->drop;
+  });
   world.engine->StartAll();
   ASSERT_TRUE(world.engine->RunToCompletion(1e8));
   const auto& result = world.engine->result(topic);
@@ -80,7 +83,10 @@ TEST(FaultInjectionTest, HeavyLossDegradesButNeverWedges) {
   FaultWorld world(50, scribe_config);
   world.LaunchApp(12, 4, 920);
   Rng loss_rng(921);
-  world.net->SetLossFn([&loss_rng](const Message&) { return loss_rng.Bernoulli(0.35); });
+  world.net->SetFaultFn([&loss_rng](const Message&, FaultAction* action) {
+    action->drop = loss_rng.Bernoulli(0.35);
+    return action->drop;
+  });
   world.engine->StartAll();
   // Completion is not guaranteed at 35% loss (a whole round's broadcast can die), but
   // the simulation must terminate rather than spin.

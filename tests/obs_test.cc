@@ -616,9 +616,14 @@ TEST_F(ObsTest, RecordDropAttributesHostAndClass) {
   metrics.RecordDrop(1, TrafficClass::kModel);
   metrics.RecordDrop(1, TrafficClass::kGradient);
   metrics.RecordDrop(2, TrafficClass::kModel);
-  EXPECT_EQ(metrics.traffic(0).msgs_dropped, 0u);
-  EXPECT_EQ(metrics.traffic(1).msgs_dropped, 2u);
-  EXPECT_EQ(metrics.traffic(2).msgs_dropped, 1u);
+  EXPECT_EQ(metrics.traffic(0).msgs_dropped(), 0u);
+  EXPECT_EQ(metrics.traffic(1).msgs_dropped(), 2u);
+  EXPECT_EQ(metrics.traffic(2).msgs_dropped(), 1u);
+  const auto model = static_cast<size_t>(TrafficClass::kModel);
+  const auto gradient = static_cast<size_t>(TrafficClass::kGradient);
+  EXPECT_EQ(metrics.traffic(1).msgs_dropped_by_class[model], 1u);
+  EXPECT_EQ(metrics.traffic(1).msgs_dropped_by_class[gradient], 1u);
+  EXPECT_EQ(metrics.traffic(2).msgs_dropped_by_class[model], 1u);
   EXPECT_EQ(metrics.DroppedByClass(TrafficClass::kModel), 2u);
   EXPECT_EQ(metrics.DroppedByClass(TrafficClass::kGradient), 1u);
   EXPECT_EQ(metrics.DroppedByClass(TrafficClass::kControl), 0u);
@@ -631,7 +636,8 @@ TEST_F(ObsTest, RecordDropAttributesHostAndClass) {
 
   metrics.Reset();
   EXPECT_EQ(metrics.DroppedByClass(TrafficClass::kModel), 0u);
-  EXPECT_EQ(metrics.traffic(1).msgs_dropped, 0u);
+  EXPECT_EQ(metrics.traffic(1).msgs_dropped(), 0u);
+  EXPECT_EQ(metrics.dropped_messages(), 0u);
 }
 
 TEST_F(ObsTest, NetworkAttributesDropsToTheRightEndpoint) {
@@ -653,7 +659,7 @@ TEST_F(ObsTest, NetworkAttributesDropsToTheRightEndpoint) {
   m1.dst = hb;
   m1.traffic = TrafficClass::kModel;
   net.Send(m1);
-  EXPECT_EQ(net.metrics().traffic(ha).msgs_dropped, 1u);
+  EXPECT_EQ(net.metrics().traffic(ha).msgs_dropped(), 1u);
 
   // Down receiver at delivery time: drop on the destination.
   net.SetHostUp(ha, true);
@@ -664,7 +670,7 @@ TEST_F(ObsTest, NetworkAttributesDropsToTheRightEndpoint) {
   net.Send(m2);
   net.SetHostUp(hb, false);
   sim.Run();
-  EXPECT_EQ(net.metrics().traffic(hb).msgs_dropped, 1u);
+  EXPECT_EQ(net.metrics().traffic(hb).msgs_dropped(), 1u);
   EXPECT_EQ(net.metrics().DroppedByClass(TrafficClass::kModel), 1u);
   EXPECT_EQ(net.metrics().DroppedByClass(TrafficClass::kGradient), 1u);
 }

@@ -13,6 +13,7 @@
 #include <thread>
 #include <vector>
 
+#include "src/core/engine.h"
 #include "src/obs/export.h"
 #include "src/obs/metrics_registry.h"
 #include "src/obs/trace.h"
@@ -353,6 +354,26 @@ TEST(SimulatorDeathTest, ManyShardsRejectHostsAfterTheFirstRun) {
         net.AddHost(&b);
       },
       "host added after the first run: K>1 freezes the host -> shard partition");
+}
+
+TEST(SimulatorDeathTest, EngineRejectsManyShards) {
+  // TotoroEngine runs at K=1 only (its per-app state is not shown to be thread-safe),
+  // so building one over a K>1 simulator fails in the constructor, before any run.
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_DEATH(
+      {
+        Simulator sim(2);
+        Network net(&sim, std::make_unique<ConstantLatency>(1.0), NetworkConfig{});
+        PastryNetwork pastry(&net, PastryConfig{});
+        Rng rng(1);
+        for (int i = 0; i < 4; ++i) {
+          pastry.AddRandomNode(rng);
+        }
+        pastry.BuildOracle(rng);
+        Forest forest(&pastry, ScribeConfig{});
+        TotoroEngine engine(&forest, ComputeModel{}, /*seed=*/1);
+      },
+      "TotoroEngine runs at K=1 only");
 }
 
 TEST(SimulatorDeathTest, ManyShardsRejectBandwidthChangesDuringARun) {

@@ -249,14 +249,17 @@ TEST(NetworkTest, MetricsAccounting) {
   EXPECT_EQ(net.metrics().TotalBytesByClass(TrafficClass::kModel), 500u);
 }
 
-TEST(NetworkTest, LossFunctionDropsMessages) {
+TEST(NetworkTest, FaultHookDropsMessagesAfterAccountingTheSend) {
   Simulator sim;
   Network net(&sim, std::make_unique<ConstantLatency>(1.0));
   TimestampHost a(&sim);
   TimestampHost b(&sim);
   const HostId ha = net.AddHost(&a);
   const HostId hb = net.AddHost(&b);
-  net.SetLossFn([](const Message&) { return true; });
+  net.SetFaultFn([](const Message&, FaultAction* action) {
+    action->drop = true;
+    return true;
+  });
   Message m;
   m.type = 1;
   m.src = ha;
@@ -264,6 +267,10 @@ TEST(NetworkTest, LossFunctionDropsMessages) {
   net.Send(m);
   sim.Run();
   EXPECT_TRUE(b.received.empty());
+  // The send is charged to the wire, then lost at the sender.
+  EXPECT_EQ(net.metrics().total_messages(), 1u);
+  EXPECT_EQ(net.metrics().total_bytes(), m.size_bytes);
+  EXPECT_EQ(net.metrics().traffic(ha).msgs_dropped(), 1u);
 }
 
 TEST(NetworkTest, PairwiseLatencyIsSymmetricAndStable) {

@@ -1,6 +1,6 @@
-// Wire batching tests: exact byte reconciliation between the batched and unbatched
-// arms, determinism of batched runs, no double-counting through the traffic metrics,
-// and batches dying cleanly when a fault lands mid-window.
+// Wire batching tests: the exact byte law of a coalescing run against an off-mode run
+// of the same schedule, determinism of coalescing runs, no double-counting through the
+// traffic metrics, and batches dying cleanly when a fault lands before their flush.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -63,6 +63,9 @@ Message MakeControlMsg(uint64_t size_bytes,
 
 // --- Unit level: a standalone WireBatcher between two pastry nodes. ---------------
 
+constexpr uint64_t kFraming = WireBatcher::kFramingBytes;
+constexpr uint64_t kSubheader = WireBatcher::kSubheaderBytes;
+
 struct BatcherRunResult {
   uint64_t wire_bytes = 0;       // Network-accounted bytes for the run.
   uint64_t wire_messages = 0;    // Network-level sends (envelopes count once).
@@ -74,10 +77,10 @@ struct BatcherRunResult {
   uint64_t singles = 0;
 };
 
-// Sends a fixed message schedule from node 0 to node 1 through a WireBatcher in the
-// given mode: a burst of 4 at t=0, a lone message at t=50, a second burst of 3 spread
-// across t=100..100+2 inside one 5 ms window, and a cross-class pair at t=200.
-BatcherRunResult RunBatcherSchedule(WireBatchConfig config) {
+// Sends a fixed message schedule from node 0 to node 1 through a WireBatcher: a burst
+// of 4 in one event at t=0, a lone message at t=50, a second burst of 3 from three
+// separate events at t=100, and a cross-class pair at t=200.
+BatcherRunResult RunBatcherSchedule(bool coalesce) {
   World world(10);
   PastryNode& sender = world.pastry->node(0);
   PastryNode& receiver = world.pastry->node(1);
@@ -90,8 +93,8 @@ BatcherRunResult RunBatcherSchedule(WireBatchConfig config) {
   const uint64_t bytes_before = world.net->metrics().total_bytes();
   const uint64_t msgs_before = world.net->metrics().total_messages();
 
-  WireBatcher batcher(&sender, config);
-  WireBatcher unbatcher(&receiver, config);
+  WireBatcher batcher(&sender, coalesce);
+  WireBatcher unbatcher(&receiver, coalesce);
   BatcherRunResult result;
   auto deliver = [&result](const NodeId&, const Message& inner, int) {
     EXPECT_EQ(inner.hops, 0) << "inner messages must never re-enter routing";
@@ -110,8 +113,9 @@ BatcherRunResult RunBatcherSchedule(WireBatchConfig config) {
     }
   });
   world.sim.Schedule(50.0, [&] { batcher.Send(dst, MakeControlMsg(64)); });
+  // Separate events at one instant: all run before the flush the first one arms.
   for (int i = 0; i < 3; ++i) {
-    world.sim.Schedule(100.0 + i, [&] { batcher.Send(dst, MakeControlMsg(32)); });
+    world.sim.Schedule(100.0, [&] { batcher.Send(dst, MakeControlMsg(32)); });
   }
   // Same instant, different traffic classes: separate edges, must not merge.
   world.sim.Schedule(200.0, [&] {
@@ -133,73 +137,70 @@ constexpr uint64_t kScheduleMsgs = 10;
 constexpr uint64_t kSchedulePayloadBytes =
     (48 + 49 + 50 + 51) + 64 + 3 * 32 + 2 * 40;
 
-TEST(WireBatcherTest, AccountOnlyChargesFramingPerMessage) {
-  WireBatchConfig config;
-  config.mode = WireBatchConfig::Mode::kAccountOnly;
-  const auto r = RunBatcherSchedule(config);
+TEST(WireBatcherTest, OffModeSendsEveryMessageUnframed) {
+  const auto r = RunBatcherSchedule(/*coalesce=*/false);
   EXPECT_EQ(r.wire_messages, kScheduleMsgs);
   EXPECT_EQ(r.delivered, kScheduleMsgs);
-  EXPECT_EQ(r.wire_bytes, kSchedulePayloadBytes + kScheduleMsgs * config.framing_bytes);
+  EXPECT_EQ(r.wire_bytes, kSchedulePayloadBytes);
+  EXPECT_EQ(r.delivered_bytes, kSchedulePayloadBytes);
   EXPECT_EQ(r.bytes_saved, 0u);
   EXPECT_EQ(r.envelopes, 0u);
 }
 
-TEST(WireBatcherTest, CoalesceReconciliationIsExact) {
-  WireBatchConfig account;
-  account.mode = WireBatchConfig::Mode::kAccountOnly;
-  WireBatchConfig coalesce;
-  coalesce.mode = WireBatchConfig::Mode::kCoalesce;
-  coalesce.window_ms = 5.0;
+TEST(WireBatcherTest, CoalesceByteLawHoldsAgainstOffMode) {
+  const auto off = RunBatcherSchedule(/*coalesce=*/false);
+  const auto on = RunBatcherSchedule(/*coalesce=*/true);
 
-  const auto a = RunBatcherSchedule(account);
-  const auto c = RunBatcherSchedule(coalesce);
-
-  // Every inner message arrives in both arms. kAccountOnly inflates each delivered
-  // size by its framing; coalesced inner messages arrive at their original size (only
-  // the three singles carry framing).
-  EXPECT_EQ(a.delivered, kScheduleMsgs);
-  EXPECT_EQ(c.delivered, kScheduleMsgs);
-  EXPECT_EQ(a.delivered_bytes,
-            kSchedulePayloadBytes + kScheduleMsgs * account.framing_bytes);
-  EXPECT_EQ(c.delivered_bytes, kSchedulePayloadBytes + 3 * coalesce.framing_bytes);
+  // Every inner message arrives in both modes. Coalesced inner messages arrive at their
+  // original size; only the three singles carry framing.
+  EXPECT_EQ(on.delivered, kScheduleMsgs);
+  EXPECT_EQ(on.delivered_bytes, kSchedulePayloadBytes + 3 * kFraming);
   // The schedule coalesces the burst of 4 and the burst of 3; the lone message and the
   // two cross-class messages go out as framed singles.
-  EXPECT_EQ(c.envelopes, 2u);
-  EXPECT_EQ(c.coalesced, 7u);
-  EXPECT_EQ(c.singles, 3u);
-  EXPECT_EQ(c.wire_messages, c.envelopes + c.singles);
-  // The reconciliation law, exactly: batched bytes == unbatched bytes - bytes_saved.
-  EXPECT_EQ(c.wire_bytes, a.wire_bytes - c.bytes_saved);
+  EXPECT_EQ(on.envelopes, 2u);
+  EXPECT_EQ(on.coalesced, 7u);
+  EXPECT_EQ(on.singles, 3u);
+  EXPECT_EQ(on.wire_messages, on.envelopes + on.singles);
+  // The byte law, exactly: wire bytes plus bytes_saved are the off-mode bytes with one
+  // framing per message the batcher sent.
+  ASSERT_EQ(off.wire_messages, kScheduleMsgs);
+  EXPECT_EQ(on.wire_bytes + on.bytes_saved, off.wire_bytes + kFraming * off.wire_messages);
   // And bytes_saved matches the closed form (k-1)*framing - k*subheader per envelope.
   const uint64_t expected_saved =
-      (3 * coalesce.framing_bytes - 4 * coalesce.subheader_bytes) +
-      (2 * coalesce.framing_bytes - 3 * coalesce.subheader_bytes);
-  EXPECT_EQ(c.bytes_saved, expected_saved);
+      (3 * kFraming - 4 * kSubheader) + (2 * kFraming - 3 * kSubheader);
+  EXPECT_EQ(on.bytes_saved, expected_saved);
 }
 
-TEST(WireBatcherTest, ZeroWindowStillBatchesSameInstantMessages) {
-  // window_ms = 0 coalesces a maintenance tick's same-instant sends: the flush event
-  // runs after the enqueues at the same virtual time.
-  WireBatchConfig config;
-  config.mode = WireBatchConfig::Mode::kCoalesce;
-  config.window_ms = 0.0;
-  const auto r = RunBatcherSchedule(config);
-  EXPECT_EQ(r.delivered, kScheduleMsgs);
-  // Only the t=0 burst shares an instant; the t=100..102 burst spreads over 3 instants.
-  EXPECT_EQ(r.envelopes, 1u);
-  EXPECT_EQ(r.coalesced, 4u);
-  EXPECT_EQ(r.singles, 6u);
+TEST(WireBatcherTest, OnlySameInstantSendsCoalesce) {
+  // The flush runs at the instant of the send that armed it, so sends one virtual ms
+  // apart leave as framed singles while a same-instant pair shares an envelope.
+  World world(10);
+  PastryNode& sender = world.pastry->node(0);
+  const HostId dst = world.pastry->node(1).host();
+  world.pastry->node(1).SetDeliverHandler(kScribeParentHeartbeat,
+                                          [](const NodeId&, const Message&, int) {});
+  world.pastry->node(1).SetDeliverHandler(kScribeBatch,
+                                          [](const NodeId&, const Message&, int) {});
+  WireBatcher batcher(&sender, /*coalesce=*/true);
+  const uint64_t envelopes_before = CounterValue("pubsub.batch.envelopes");
+  const uint64_t singles_before = CounterValue("pubsub.batch.singles");
+  for (int i = 0; i < 3; ++i) {
+    world.sim.Schedule(static_cast<double>(i), [&] { batcher.Send(dst, MakeControlMsg(32)); });
+  }
+  world.sim.Schedule(3.0, [&] {
+    batcher.Send(dst, MakeControlMsg(32));
+    batcher.Send(dst, MakeControlMsg(32));
+  });
+  world.sim.Run();
+  EXPECT_EQ(CounterValue("pubsub.batch.singles") - singles_before, 3u);
+  EXPECT_EQ(CounterValue("pubsub.batch.envelopes") - envelopes_before, 1u);
 }
 
-TEST(WireBatcherTest, SenderCrashMidWindowDropsPendingBatch) {
-  WireBatchConfig config;
-  config.mode = WireBatchConfig::Mode::kCoalesce;
-  config.window_ms = 10.0;
-
+TEST(WireBatcherTest, SenderCrashBeforeFlushDropsPendingBatch) {
   World world(10);
   PastryNode& sender = world.pastry->node(0);
   PastryNode& receiver = world.pastry->node(1);
-  WireBatcher batcher(&sender, config);
+  WireBatcher batcher(&sender, /*coalesce=*/true);
   uint64_t delivered = 0;
   receiver.SetDeliverHandler(kScribeBatch,
                              [&](const NodeId&, const Message&, int) { ++delivered; });
@@ -215,111 +216,105 @@ TEST(WireBatcherTest, SenderCrashMidWindowDropsPendingBatch) {
     batcher.Send(receiver.host(), MakeControlMsg(48));
     batcher.Send(receiver.host(), MakeControlMsg(48));
   });
-  // The sender dies inside the window; the armed flush finds it dead and the batch
-  // dies with it — nothing reaches the wire, but the batch's would-have-been bytes
-  // (size + framing each, what the unbatched arm already charged) are booked as saved
-  // so the reconciliation law survives the crash.
-  world.sim.Schedule(5.0, [&] { world.net->SetHostUp(sender.host(), false); });
+  // Scheduled after the sends at the same instant, the crash runs before the flush they
+  // arm; the flush finds the sender dead and the batch dies with it — nothing reaches
+  // the wire, but the batch's framed bytes (size + framing each, what off mode already
+  // charged) are booked as saved so the byte law survives the crash.
+  world.sim.Schedule(0.0, [&] { world.net->SetHostUp(sender.host(), false); });
   world.sim.Run();
 
   EXPECT_EQ(delivered, 0u);
   EXPECT_EQ(world.net->metrics().total_bytes(), bytes_before);
   EXPECT_EQ(CounterValue("pubsub.batch.envelopes"), envelopes_before);
-  const WireBatchConfig defaults;
-  EXPECT_EQ(CounterValue("pubsub.batch.bytes_saved") - saved_before,
-            2 * (48 + defaults.framing_bytes));
+  EXPECT_EQ(CounterValue("pubsub.batch.bytes_saved") - saved_before, 2 * (48 + kFraming));
   EXPECT_EQ(CounterValue("pubsub.batch.dead_batches") - dead_batches_before, 1u);
   EXPECT_EQ(CounterValue("pubsub.batch.dead_batch_msgs") - dead_msgs_before, 2u);
 }
 
-// faultsim scenario: the reconciliation law must stay exact when the flush target died
-// mid-window. Both arms run the identical schedule — a 3-message burst, a crash inside
-// the open window, then a post-crash send attempt — and the law
-// bytes(kCoalesce) == bytes(kAccountOnly) - bytes_saved is asserted across the crash.
-TEST(WireBatcherTest, SenderCrashReconciliationLawHolds) {
-  struct ArmResult {
-    uint64_t wire_bytes = 0;
-    uint64_t saved = 0;
-    uint64_t src_drops = 0;
-  };
-  auto run_arm = [](WireBatchConfig::Mode mode) {
-    WireBatchConfig config;
-    config.mode = mode;
-    config.window_ms = 10.0;
-    World world(10);
-    PastryNode& sender = world.pastry->node(0);
-    PastryNode& receiver = world.pastry->node(1);
-    FaultInjector injector(world.pastry.get(), nullptr, /*seed=*/7);
-    WireBatcher batcher(&sender, config);
-    receiver.SetDeliverHandler(kScribeParentHeartbeat,
-                               [](const NodeId&, const Message&, int) {});
-    receiver.SetDeliverHandler(kScribeBatch, [](const NodeId&, const Message&, int) {});
-    FaultScript script;
-    script.CrashAt(5.0, sender.host());
-    injector.Schedule(script);
+// One faultsim schedule run in either mode: a 3-message burst, then a fault that lands
+// after the sends but before their flush — the sender crashes (followed by a
+// post-crash send attempt) or the edge partitions.
+struct FaultArmResult {
+  uint64_t wire_bytes = 0;
+  uint64_t wire_messages = 0;
+  uint64_t saved = 0;
+  uint64_t drops = 0;
+  uint64_t partition_drops = 0;
+  uint64_t delivered = 0;
+};
 
-    const uint64_t bytes_before = world.net->metrics().total_bytes();
-    const uint64_t saved_before = CounterValue("pubsub.batch.bytes_saved");
-    const uint64_t drops_before = world.net->metrics().dropped_messages();
-    world.sim.Schedule(0.0, [&] {
-      for (int i = 0; i < 3; ++i) {
-        batcher.Send(receiver.host(), MakeControlMsg(48));
-      }
-    });
-    // Post-crash send attempt: must take the same path (and record the same src-down
-    // drop) in both arms instead of opening a fresh window on a dead node.
-    world.sim.Schedule(7.0, [&] { batcher.Send(receiver.host(), MakeControlMsg(32)); });
-    world.sim.Run();
+enum class BurstFault { kSenderCrash, kPartition };
 
-    ArmResult result;
-    result.wire_bytes = world.net->metrics().total_bytes() - bytes_before;
-    result.saved = CounterValue("pubsub.batch.bytes_saved") - saved_before;
-    result.src_drops = world.net->metrics().dropped_messages() - drops_before;
-    return result;
-  };
-
-  const ArmResult account = run_arm(WireBatchConfig::Mode::kAccountOnly);
-  const ArmResult coalesce = run_arm(WireBatchConfig::Mode::kCoalesce);
-  EXPECT_EQ(account.saved, 0u);
-  EXPECT_GT(coalesce.saved, 0u);
-  EXPECT_EQ(coalesce.wire_bytes, account.wire_bytes - coalesce.saved);
-  EXPECT_EQ(coalesce.src_drops, account.src_drops);  // The post-crash send, once each.
-}
-
-TEST(WireBatcherTest, PartitionMidWindowDropsEnvelopeOnceNotPerInnerMessage) {
-  // faultsim scenario: the edge partitions while a batch is accumulating. The flush
-  // still runs (the sender is alive), the envelope hits the partition, and the network
-  // charges exactly ONE drop — the envelope — not one per inner message.
-  WireBatchConfig config;
-  config.mode = WireBatchConfig::Mode::kCoalesce;
-  config.window_ms = 10.0;
-
+FaultArmResult RunFaultedBurst(bool coalesce, BurstFault fault) {
   World world(10);
   PastryNode& sender = world.pastry->node(0);
   PastryNode& receiver = world.pastry->node(1);
-  FaultInjector injector(world.pastry.get(), nullptr, /*seed=*/42);
-  WireBatcher batcher(&sender, config);
-  uint64_t delivered = 0;
-  receiver.SetDeliverHandler(kScribeBatch,
-                             [&](const NodeId&, const Message&, int) { ++delivered; });
+  FaultInjector injector(world.pastry.get(), nullptr, /*seed=*/7);
+  WireBatcher batcher(&sender, coalesce);
+  FaultArmResult result;
+  auto count = [&result](const NodeId&, const Message&, int) { ++result.delivered; };
+  receiver.SetDeliverHandler(kScribeParentHeartbeat, count);
+  receiver.SetDeliverHandler(kScribeBatch, count);
 
-  FaultScript script;
-  script.PartitionAt(5.0, {sender.host()}, {receiver.host()});
-  injector.Schedule(script);
-
-  const uint64_t dropped_before = world.net->metrics().dropped_messages();
+  const uint64_t bytes_before = world.net->metrics().total_bytes();
+  const uint64_t msgs_before = world.net->metrics().total_messages();
+  const uint64_t saved_before = CounterValue("pubsub.batch.bytes_saved");
+  const uint64_t drops_before = world.net->metrics().dropped_messages();
   world.sim.Schedule(0.0, [&] {
     for (int i = 0; i < 3; ++i) {
       batcher.Send(receiver.host(), MakeControlMsg(48));
     }
   });
+  // Scheduled after the sends, so at t=0 the fault lands between them and their flush.
+  FaultScript script;
+  if (fault == BurstFault::kSenderCrash) {
+    script.CrashAt(0.0, sender.host());
+    // Post-crash send attempt: must take the same path (and record the same src-down
+    // drop) in both modes instead of opening a fresh queue on a dead node.
+    world.sim.Schedule(7.0, [&] { batcher.Send(receiver.host(), MakeControlMsg(32)); });
+  } else {
+    script.PartitionAt(0.0, {sender.host()}, {receiver.host()});
+  }
+  injector.Schedule(script);
   world.sim.Run();
 
-  EXPECT_EQ(delivered, 0u);
-  EXPECT_EQ(injector.stats().partition_drops, 1u);
-  EXPECT_EQ(world.net->metrics().dropped_messages() - dropped_before, 1u);
-  // The envelope was still built and accounted: the bytes were saved, then lost.
-  EXPECT_GE(CounterValue("pubsub.batch.envelopes"), 1u);
+  result.wire_bytes = world.net->metrics().total_bytes() - bytes_before;
+  result.wire_messages = world.net->metrics().total_messages() - msgs_before;
+  result.saved = CounterValue("pubsub.batch.bytes_saved") - saved_before;
+  result.drops = world.net->metrics().dropped_messages() - drops_before;
+  result.partition_drops = injector.stats().partition_drops;
+  return result;
+}
+
+TEST(WireBatcherTest, SenderCrashByteLawHoldsAgainstOffMode) {
+  const FaultArmResult off = RunFaultedBurst(/*coalesce=*/false, BurstFault::kSenderCrash);
+  const FaultArmResult on = RunFaultedBurst(/*coalesce=*/true, BurstFault::kSenderCrash);
+  // Off mode put the burst on the wire before the crash; coalescing lost it with the
+  // sender and booked it as saved.
+  EXPECT_EQ(off.wire_messages, 3u);
+  EXPECT_EQ(on.wire_messages, 0u);
+  EXPECT_EQ(on.saved, 3 * (48 + kFraming));
+  EXPECT_EQ(on.wire_bytes + on.saved, off.wire_bytes + kFraming * off.wire_messages);
+  EXPECT_EQ(on.drops, off.drops);  // The post-crash send, once each.
+  EXPECT_EQ(on.drops, 1u);
+}
+
+TEST(WireBatcherTest, PartitionBeforeFlushDropsEnvelopeOnceNotPerInnerMessage) {
+  // The edge partitions while a batch waits for its flush. The flush still runs (the
+  // sender is alive), the envelope hits the partition, and the network charges exactly
+  // ONE drop — the envelope — not one per inner message.
+  const FaultArmResult off = RunFaultedBurst(/*coalesce=*/false, BurstFault::kPartition);
+  const FaultArmResult on = RunFaultedBurst(/*coalesce=*/true, BurstFault::kPartition);
+  EXPECT_EQ(on.delivered, 0u);
+  EXPECT_EQ(on.partition_drops, 1u);
+  EXPECT_EQ(on.drops, 1u);
+  // Off mode put the burst on the wire before the partition, so all of it arrives.
+  EXPECT_EQ(off.delivered, 3u);
+  EXPECT_EQ(off.drops, 0u);
+  // The envelope was still built and charged before the partition took it: the byte
+  // law holds across the fault.
+  EXPECT_EQ(on.saved, 2 * kFraming - 3 * kSubheader);
+  EXPECT_EQ(on.wire_bytes + on.saved, off.wire_bytes + kFraming * off.wire_messages);
 }
 
 // --- End to end: a Forest with batching in the ScribeConfig. ----------------------
@@ -327,24 +322,45 @@ TEST(WireBatcherTest, PartitionMidWindowDropsEnvelopeOnceNotPerInnerMessage) {
 struct ForestRunResult {
   uint64_t total_bytes = 0;
   uint64_t total_messages = 0;
+  uint64_t model_bytes = 0;
+  // Network sends of the opcodes a ScribeNode hands to its batcher (off mode: every
+  // message the batchers sent).
+  uint64_t direct_scribe_sends = 0;
   uint64_t broadcasts_delivered = 0;
   uint64_t root_totals = 0;
   uint64_t bytes_saved = 0;
   uint64_t envelopes = 0;
+  uint64_t coalesced = 0;
+  uint64_t singles = 0;
   std::string metrics_json;
 };
 
 // Maintenance heartbeats across several same-membership topics are the coalescable
 // traffic: each tick a parent sends one heartbeat per (child, topic), and topics
 // sharing the (parent, child) edge merge into one envelope.
-ForestRunResult RunForestScenario(WireBatchConfig batch) {
+ForestRunResult RunForestScenario(bool coalesce) {
   GlobalMetrics().ResetValues();
   ScribeConfig scribe;
   scribe.enable_tree_repair = true;
   scribe.parent_heartbeat_ms = 100.0;
   scribe.parent_timeout_ms = 350.0;
-  scribe.batch = batch;
+  scribe.coalesce_sends = coalesce;
   World world(60, scribe);
+  ForestRunResult result;
+  // An observe-only fault hook: counts the direct scribe sends, affects nothing.
+  world.net->SetFaultFn([&result](const Message& msg, FaultAction*) {
+    switch (msg.type) {
+      case kScribeBroadcast:
+      case kScribeUpdate:
+      case kScribeParentHeartbeat:
+      case kScribeLeave:
+        ++result.direct_scribe_sends;
+        break;
+      default:
+        break;
+    }
+    return false;
+  });
 
   std::vector<NodeId> topics;
   for (int t = 0; t < 6; ++t) {
@@ -352,7 +368,6 @@ ForestRunResult RunForestScenario(WireBatchConfig batch) {
     world.forest->SubscribeAll(topics.back(), world.AllNodes());
   }
 
-  ForestRunResult result;
   for (size_t i = 0; i < world.forest->size(); ++i) {
     world.forest->scribe(i).SetOnBroadcast(
         [&result](const NodeId&, uint64_t, const ScribeBroadcast&) {
@@ -385,19 +400,20 @@ ForestRunResult RunForestScenario(WireBatchConfig batch) {
 
   result.total_bytes = world.net->metrics().total_bytes();
   result.total_messages = world.net->metrics().total_messages();
+  result.model_bytes = world.net->metrics().TotalBytesByClass(TrafficClass::kModel);
   result.bytes_saved = CounterValue("pubsub.batch.bytes_saved");
   result.envelopes = CounterValue("pubsub.batch.envelopes");
+  result.coalesced = CounterValue("pubsub.batch.coalesced_msgs");
+  result.singles = CounterValue("pubsub.batch.singles");
+  world.net->SetFaultFn({});
   world.net->metrics().PublishTo(GlobalMetrics());
   result.metrics_json = MetricsToJson(GlobalMetrics());
   return result;
 }
 
 TEST(WireBatchForestTest, CoalescedRunIsDeterministicByteEqualExports) {
-  WireBatchConfig batch;
-  batch.mode = WireBatchConfig::Mode::kCoalesce;
-  batch.window_ms = 0.0;
-  const auto r1 = RunForestScenario(batch);
-  const auto r2 = RunForestScenario(batch);
+  const auto r1 = RunForestScenario(/*coalesce=*/true);
+  const auto r2 = RunForestScenario(/*coalesce=*/true);
   EXPECT_GT(r1.envelopes, 0u) << "scenario must actually exercise coalescing";
   EXPECT_EQ(r1.total_bytes, r2.total_bytes);
   EXPECT_EQ(r1.total_messages, r2.total_messages);
@@ -405,27 +421,30 @@ TEST(WireBatchForestTest, CoalescedRunIsDeterministicByteEqualExports) {
   EXPECT_EQ(r1.metrics_json, r2.metrics_json) << "same seed must export byte-equal";
 }
 
-TEST(WireBatchForestTest, EndToEndReconciliationAndNoDoubleCount) {
-  WireBatchConfig account;
-  account.mode = WireBatchConfig::Mode::kAccountOnly;
-  WireBatchConfig coalesce;
-  coalesce.mode = WireBatchConfig::Mode::kCoalesce;
-  coalesce.window_ms = 0.0;  // Zero window: identical timings, so identical app traffic.
-
-  const auto a = RunForestScenario(account);
-  const auto c = RunForestScenario(coalesce);
+TEST(WireBatchForestTest, EndToEndByteLawHoldsAgainstOffMode) {
+  const auto off = RunForestScenario(/*coalesce=*/false);
+  const auto on = RunForestScenario(/*coalesce=*/true);
 
   // The application outcome is unchanged by batching.
-  EXPECT_EQ(c.broadcasts_delivered, a.broadcasts_delivered);
-  EXPECT_EQ(c.root_totals, a.root_totals);
-  EXPECT_GT(c.broadcasts_delivered, 0u);
+  EXPECT_EQ(on.broadcasts_delivered, off.broadcasts_delivered);
+  EXPECT_EQ(on.root_totals, off.root_totals);
+  EXPECT_GT(on.broadcasts_delivered, 0u);
 
-  // Coalescing happened (heartbeats across the 6 same-membership topics share edges)
-  // and the byte ledger reconciles exactly: nothing double-counted, nothing lost.
-  EXPECT_GT(c.envelopes, 0u);
-  EXPECT_GT(c.bytes_saved, 0u);
-  EXPECT_EQ(c.total_bytes, a.total_bytes - c.bytes_saved);
-  EXPECT_LT(c.total_messages, a.total_messages);
+  // Coalescing happened (heartbeats across the 6 same-membership topics share edges),
+  // and every message the batchers took left exactly once, alone or in an envelope.
+  EXPECT_GT(on.envelopes, 0u);
+  EXPECT_GT(on.bytes_saved, 0u);
+  EXPECT_EQ(on.coalesced + on.singles, off.direct_scribe_sends);
+  EXPECT_LT(on.total_messages, off.total_messages);
+  // The byte law against off mode: one framing per batcher send, nothing double-counted,
+  // nothing lost. A broadcast forwarded with the framed size of the hop it arrived on
+  // would add a framing per tree level and break it.
+  EXPECT_EQ(on.total_bytes + on.bytes_saved,
+            off.total_bytes + kFraming * off.direct_scribe_sends);
+  // Model broadcasts in particular never leave in an envelope here (one per edge per
+  // round), so each costs its payload plus exactly one framing.
+  EXPECT_EQ(off.model_bytes % 2048, 0u);
+  EXPECT_EQ(on.model_bytes, off.model_bytes + kFraming * (off.model_bytes / 2048));
 }
 
 struct ShardedForestResult {
@@ -459,8 +478,7 @@ ShardedForestResult RunShardedForestScenario(size_t shards) {
     ScribeConfig scribe;
     scribe.enable_tree_repair = true;
     scribe.parent_heartbeat_ms = 100.0;
-    scribe.batch.mode = WireBatchConfig::Mode::kCoalesce;
-    scribe.batch.window_ms = 0.0;
+    scribe.coalesce_sends = true;
     Forest forest(&pastry, scribe);
     sim.SetLookaheadMs(net.latency_model().MinLatencyMs());
 
@@ -469,7 +487,7 @@ ShardedForestResult RunShardedForestScenario(size_t shards) {
       members[i] = i;
     }
     // No settle stagger: same-membership topics subscribe at the same instant, so
-    // their heartbeat phases align and the zero-width window has edges to merge
+    // their heartbeat phases align and the same-instant flush has edges to merge
     // (6 trees over 60 hosts overlap enough (parent, child) edges to coalesce).
     for (int t = 0; t < 6; ++t) {
       forest.SubscribeAll(forest.CreateTopic("batch-shard-" + std::to_string(t)),
@@ -504,7 +522,7 @@ TEST(WireBatchForestTest, CoalescedRunBitIdenticalAcrossShardCounts) {
 }
 
 TEST(WireBatchForestTest, OffModeTouchesNothing) {
-  const auto off = RunForestScenario(WireBatchConfig{});
+  const auto off = RunForestScenario(/*coalesce=*/false);
   EXPECT_EQ(off.bytes_saved, 0u);
   EXPECT_EQ(off.envelopes, 0u);
   EXPECT_GT(off.broadcasts_delivered, 0u);
