@@ -4,54 +4,19 @@
 //
 // Expected ordering: the hierarchy's partial aggregation relieves the cloud downlink but
 // keeps one serial coordinator, so it sits between the flat star and Totoro; only
-// Totoro's per-app masters stay flat as app count grows.
-#include <set>
-
+// Totoro's per-app masters stay flat as app count grows. Both coordinator classes run
+// the same engine under FedScale's costs; the hierarchy adds 8 edge servers.
 #include "bench/parallel_runner.h"
 #include "bench/tta_common.h"
-#include "src/baselines/hierarchical_engine.h"
 #include "src/obs/export.h"
 
 namespace totoro {
 namespace {
 
-double RunHierarchical(const bench::TaskProfile& profile, int num_apps, uint64_t seed) {
-  Simulator sim;
-  HierarchicalConfig config;
-  config.num_edge_servers = 8;
-  HierarchicalEngine engine(&sim, config, 400, seed);
-  SyntheticTask task(profile.spec);
-  Rng data_rng(seed + 2);
-  Rng pick(seed + 3);
-  std::vector<NodeId> topics;
-  for (int a = 0; a < num_apps; ++a) {
-    std::vector<size_t> clients;
-    std::vector<Dataset> shards;
-    std::set<size_t> used;
-    while (used.size() < bench::kWorkersPerApp) {
-      used.insert(pick.NextBelow(400));
-    }
-    for (size_t c : used) {
-      clients.push_back(c);
-      shards.push_back(task.Generate(bench::kShardExamples, data_rng));
-    }
-    topics.push_back(engine.LaunchApp(
-        bench::MakeAppConfig(profile, profile.name + "-" + std::to_string(a)), clients,
-        std::move(shards), task.Generate(400, data_rng)));
-  }
-  engine.StartAll();
-  engine.RunToCompletion();
-  double last = 0.0;
-  for (const auto& topic : topics) {
-    const auto& result = engine.result(topic);
-    last = std::max(last,
-                    result.reached_target ? result.time_to_target_ms : result.total_time_ms);
-  }
-  return last;
-}
-
 void Run(BenchReport* report) {
   const auto profile = bench::FemnistProfile();
+  CentralConfig hierarchical = bench::FedScaleConfig();
+  hierarchical.num_edge_servers = 8;
   bench::PrintHeader(
       "Ablation: architecture classes, last-app time-to-target (femnist task)");
   AsciiTable table({"#apps", "centralized (s)", "hierarchical (s)", "Totoro (s)"});
@@ -65,7 +30,7 @@ void Run(BenchReport* report) {
         return bench::RunCentralTta(profile, apps, bench::FedScaleConfig(), 4000)
             .last_target_ms;
       case 1:
-        return RunHierarchical(profile, apps, 4000);
+        return bench::RunCentralTta(profile, apps, hierarchical, 4000).last_target_ms;
       default:
         return bench::RunTotoroTta(profile, apps, /*fanout_bits=*/4, 4000).last_target_ms;
     }

@@ -2,16 +2,37 @@
 
 #include "src/common/check.h"
 #include "src/common/logging.h"
+#include "src/fl/aggregation.h"
 
 namespace totoro {
+namespace {
 
-// Payload of both directions: weights + addressing metadata.
-struct CentralPayload {
+enum CentralMsgType : int {
+  kCentralModel = 300,         // To a client: global weights for a round.
+  kCentralUpdate = 301,        // To the server: a client's (star) or an edge's update.
+  kCentralModelToEdge = 302,   // Server -> edge server: weights to relay to its clients.
+  kCentralUpdateToEdge = 303,  // Client -> its edge server: local update.
+};
+
+// Per-1k-parameter parts of the coordinator's service times (serialization, averaging).
+constexpr double kSetupMsPerKparam = 0.4;
+constexpr double kAggregateMsPerKparam = 0.15;
+// An edge server's own cost per client update; edges work in parallel, not on the queue.
+constexpr double kEdgeAggregateMs = 3.0;
+constexpr double kEdgeBandwidthBytesPerMs = 62500.0;    // 500 Mbit/s.
+constexpr double kClientBandwidthBytesPerMs = 12500.0;  // 100 Mbit/s.
+constexpr double kLatencyLoMs = 2.0;
+constexpr double kLatencyHiMs = 40.0;
+constexpr ComputeModel kCompute{};
+
+}  // namespace
+
+// Payload of every message: weights plus addressing metadata.
+struct CentralizedEngine::Payload {
   NodeId topic;
   uint64_t round = 0;
   std::vector<float> weights;
   double sample_weight = 0.0;
-  size_t client_index = 0;
 };
 
 struct CentralizedEngine::AppRuntime {
@@ -22,8 +43,12 @@ struct CentralizedEngine::AppRuntime {
   Dataset test_set{1, 2};
   std::vector<size_t> clients;
   std::map<size_t, std::unique_ptr<LocalTrainer>> trainers;
+  // With edge servers: how many of this app's clients hang off each edge, and the updates
+  // each edge has buffered this round. Ordered: the model fans out per edge in walk order.
+  std::map<size_t, size_t> clients_per_edge;
+  std::map<size_t, std::vector<WeightedUpdate>> edge_buffers;
   uint64_t round = 0;
-  size_t pending_updates = 0;
+  size_t pending_updates = 0;  // Updates the server still waits for this round.
   std::vector<WeightedUpdate> received;
   double launch_time_ms = 0.0;
   bool started = false;
@@ -31,49 +56,52 @@ struct CentralizedEngine::AppRuntime {
   AppResult result;
 };
 
-class CentralizedEngine::ServerHost : public Host {
+// Server, edge servers and clients are all Nodes; the message type picks the role.
+class CentralizedEngine::Node : public Host {
  public:
-  explicit ServerHost(CentralizedEngine* engine) : engine_(engine) {}
+  Node(CentralizedEngine* engine, HostId id) : engine_(engine), id_(id) {}
   void HandleMessage(const Message& msg) override {
-    CHECK_EQ(msg.type, kCentralUpdate);
-    engine_->OnClientUpdate(msg);
+    switch (msg.type) {
+      case kCentralModel:
+        engine_->OnModelAtClient(id_ - 1 - engine_->config_.num_edge_servers, msg);
+        break;
+      case kCentralUpdate:
+        engine_->OnUpdateAtServer(msg);
+        break;
+      case kCentralModelToEdge:
+        engine_->OnModelAtEdge(id_ - 1, msg);
+        break;
+      case kCentralUpdateToEdge:
+        engine_->OnUpdateAtEdge(id_ - 1, msg);
+        break;
+      default:
+        CHECK(false);
+    }
   }
 
  private:
   CentralizedEngine* engine_;
-};
-
-class CentralizedEngine::ClientHost : public Host {
- public:
-  ClientHost(CentralizedEngine* engine, size_t index) : engine_(engine), index_(index) {}
-  void HandleMessage(const Message& msg) override {
-    CHECK_EQ(msg.type, kCentralModel);
-    engine_->OnModelAtClient(index_, msg);
-  }
-
- private:
-  CentralizedEngine* engine_;
-  size_t index_;
+  HostId id_;
 };
 
 CentralizedEngine::CentralizedEngine(Simulator* sim, CentralConfig config, size_t num_clients,
                                      uint64_t seed)
     : sim_(sim), config_(config), rng_(seed) {
   NetworkConfig net_config;
-  net_config.default_bandwidth_bytes_per_ms = config_.client_bandwidth_bytes_per_ms;
+  net_config.default_bandwidth_bytes_per_ms = kClientBandwidthBytesPerMs;
   network_ = std::make_unique<Network>(
-      sim_,
-      std::make_unique<PairwiseUniformLatency>(config_.latency_lo_ms, config_.latency_hi_ms,
-                                               seed ^ 0xBA5E),
+      sim_, std::make_unique<PairwiseUniformLatency>(kLatencyLoMs, kLatencyHiMs, seed ^ 0xBA5E),
       net_config);
-  network_->ReserveHosts(num_clients + 1);
-  server_ = std::make_unique<ServerHost>(this);
-  server_host_ = network_->AddHost(server_.get());
-  network_->SetHostBandwidth(server_host_, config_.server_bandwidth_bytes_per_ms);
-  clients_.reserve(num_clients);
-  for (size_t i = 0; i < num_clients; ++i) {
-    clients_.push_back(std::make_unique<ClientHost>(this, i));
-    network_->AddHost(clients_.back().get());
+  const size_t num_hosts = 1 + config_.num_edge_servers + num_clients;
+  network_->ReserveHosts(num_hosts);
+  nodes_.reserve(num_hosts);
+  for (size_t i = 0; i < num_hosts; ++i) {
+    nodes_.push_back(std::make_unique<Node>(this, static_cast<HostId>(i)));
+    CHECK_EQ(network_->AddHost(nodes_.back().get()), static_cast<HostId>(i));
+  }
+  network_->SetHostBandwidth(kServer, config_.server_bandwidth_bytes_per_ms);
+  for (size_t e = 0; e < config_.num_edge_servers; ++e) {
+    network_->SetHostBandwidth(EdgeHost(e), kEdgeBandwidthBytesPerMs);
   }
 }
 
@@ -85,6 +113,12 @@ NodeId CentralizedEngine::LaunchApp(const FlAppConfig& config,
   CHECK(config.model_factory != nullptr);
   CHECK_EQ(clients.size(), shards.size());
   CHECK(!clients.empty());
+  // Policies the baseline does not implement fail here instead of silently running
+  // plain FedAvg over every client.
+  CHECK(!config.async.has_value());
+  CHECK(!config.secure_aggregation);
+  CHECK(config.robust.rule == RobustAggregation::kNone);
+  CHECK_EQ(config.participants_per_round, 0u);
   const NodeId topic = MakeAppId(config.name, config.creator_key, config.salt);
   CHECK(apps_.find(topic) == apps_.end());
   auto app = std::make_unique<AppRuntime>();
@@ -97,9 +131,12 @@ NodeId CentralizedEngine::LaunchApp(const FlAppConfig& config,
   app->result.name = config.name;
   app->result.topic = topic;
   for (size_t i = 0; i < clients.size(); ++i) {
-    CHECK_LT(clients[i], clients_.size());
+    CHECK_LT(clients[i], nodes_.size() - 1 - config_.num_edge_servers);
     app->trainers[clients[i]] = std::make_unique<LocalTrainer>(
         config.model_factory(rng_.Next()), std::move(shards[i]), 1.0, rng_.Next());
+    if (config_.num_edge_servers > 0) {
+      ++app->clients_per_edge[clients[i] % config_.num_edge_servers];
+    }
   }
   apps_[topic] = std::move(app);
   return topic;
@@ -116,145 +153,182 @@ void CentralizedEngine::StartAll() {
   }
 }
 
+CentralizedEngine::AppRuntime* CentralizedEngine::LiveApp(const NodeId& topic) {
+  auto it = apps_.find(topic);
+  return it == apps_.end() || it->second->done ? nullptr : it->second.get();
+}
+
+void CentralizedEngine::Send(int type, HostId src, HostId dst, uint64_t size_bytes,
+                             Payload payload) {
+  Message m;
+  m.type = type;
+  m.src = src;
+  m.dst = dst;
+  m.size_bytes = size_bytes;
+  m.traffic = type == kCentralModel || type == kCentralModelToEdge ? TrafficClass::kModel
+                                                                   : TrafficClass::kGradient;
+  m.transport = Transport::kTcp;
+  m.SetPayload(std::move(payload));
+  network_->Send(std::move(m));
+}
+
 void CentralizedEngine::EnqueueCoordinatorWork(double service_ms, EventFn fn) {
   // One logical coordinator thread: work is served FCFS, which is exactly the queueing
   // delay §7.4 attributes the baselines' slowdown to.
   const SimTime start = std::max(coordinator_free_at_, sim_->Now());
   coordinator_free_at_ = start + service_ms;
   // Charge in the same work-unit scale as client training (units per ms of compute).
-  network_->metrics().ChargeWork(server_host_, WorkKind::kFlTask,
-                                 service_ms * config_.compute.work_units_per_ms);
+  network_->metrics().ChargeWork(kServer, WorkKind::kFlTask,
+                                 service_ms * kCompute.work_units_per_ms);
   sim_->ScheduleAt(coordinator_free_at_, std::move(fn));
 }
 
 void CentralizedEngine::StartRound(AppRuntime& app) {
   app.round += 1;
-  app.pending_updates = app.clients.size();
+  app.pending_updates =
+      config_.num_edge_servers == 0 ? app.clients.size() : app.clients_per_edge.size();
   app.received.clear();
+  app.edge_buffers.clear();
   const double kparams = static_cast<double>(app.global_weights.size()) / 1000.0;
-  EnqueueCoordinatorWork(config_.setup_ms_const + config_.setup_ms_per_kparam * kparams,
+  EnqueueCoordinatorWork(config_.setup_ms_const + kSetupMsPerKparam * kparams,
                          [this, topic = app.topic]() {
-                           auto it = apps_.find(topic);
-                           if (it != apps_.end() && !it->second->done) {
-                             BroadcastModel(*it->second);
+                           AppRuntime* live = LiveApp(topic);
+                           if (live != nullptr) {
+                             BroadcastModel(*live);
                            }
                          });
 }
 
-void CentralizedEngine::BroadcastModel(AppRuntime& app) {
-  // Hub-and-spoke: one unicast per client, all squeezed through the server uplink.
-  for (size_t client : app.clients) {
-    Message m;
-    m.type = kCentralModel;
-    m.src = server_host_;
-    m.dst = static_cast<HostId>(client + 1);  // Clients registered after the server.
-    m.size_bytes = app.global_weights.size() * sizeof(float);
-    m.traffic = TrafficClass::kModel;
-    m.transport = Transport::kTcp;
-    CentralPayload payload;
-    payload.topic = app.topic;
-    payload.round = app.round;
-    payload.weights = app.global_weights;
-    m.SetPayload(std::move(payload));
-    network_->Send(std::move(m));
+void CentralizedEngine::BroadcastModel(const AppRuntime& app) {
+  // Hub-and-spoke: one unicast per client, or per edge server in use, all squeezed
+  // through the server uplink.
+  const uint64_t bytes = app.global_weights.size() * sizeof(float);
+  if (config_.num_edge_servers == 0) {
+    for (size_t client : app.clients) {
+      Send(kCentralModel, kServer, ClientHost(client), bytes,
+           Payload{app.topic, app.round, app.global_weights});
+    }
+    return;
+  }
+  for (const auto& [edge, count] : app.clients_per_edge) {
+    (void)count;
+    Send(kCentralModelToEdge, kServer, EdgeHost(edge), bytes,
+         Payload{app.topic, app.round, app.global_weights});
   }
 }
 
-void CentralizedEngine::OnModelAtClient(size_t client_index, const Message& msg) {
-  const auto& payload = msg.As<CentralPayload>();
-  auto it = apps_.find(payload.topic);
-  if (it == apps_.end() || it->second->done) {
+void CentralizedEngine::OnModelAtEdge(size_t edge, const Message& msg) {
+  const auto& payload = msg.As<Payload>();
+  const AppRuntime* app = LiveApp(payload.topic);
+  if (app == nullptr) {
     return;
   }
-  AppRuntime& app = *it->second;
-  auto trainer_it = app.trainers.find(client_index);
-  if (trainer_it == app.trainers.end()) {
+  // The edge relays the model to its clients of this app.
+  for (size_t client : app->clients) {
+    if (client % config_.num_edge_servers == edge) {
+      Send(kCentralModel, EdgeHost(edge), ClientHost(client), msg.size_bytes, payload);
+    }
+  }
+}
+
+void CentralizedEngine::OnModelAtClient(size_t client, const Message& msg) {
+  const auto& payload = msg.As<Payload>();
+  AppRuntime* app = LiveApp(payload.topic);
+  if (app == nullptr) {
+    return;
+  }
+  auto trainer_it = app->trainers.find(client);
+  if (trainer_it == app->trainers.end()) {
     return;
   }
   LocalTrainer& trainer = *trainer_it->second;
-  LocalUpdate update = trainer.Train(payload.weights, app.config.train, config_.compute,
-                                     app.config.dp, app.config.compression);
-  const HostId client_host = static_cast<HostId>(client_index + 1);
+  LocalUpdate update = trainer.Train(payload.weights, app->config.train, kCompute,
+                                     app->config.dp, app->config.compression);
+  const HostId host = ClientHost(client);
   network_->metrics().ChargeWork(
-      client_host, WorkKind::kFlTask,
+      host, WorkKind::kFlTask,
       static_cast<double>(trainer.model().NumParams()) *
-          static_cast<double>(app.config.train.batch_size * app.config.train.local_steps));
-  CentralPayload reply;
-  reply.topic = app.topic;
-  reply.round = payload.round;
-  reply.weights = std::move(update.weights);
-  reply.sample_weight = update.sample_weight;
-  reply.client_index = client_index;
+          static_cast<double>(app->config.train.batch_size * app->config.train.local_steps));
+  Payload reply{app->topic, payload.round, std::move(update.weights), update.sample_weight};
   const uint64_t wire_bytes = update.wire_bytes;
+  const bool star = config_.num_edge_servers == 0;
+  const int type = star ? kCentralUpdate : kCentralUpdateToEdge;
+  const HostId parent = star ? kServer : EdgeHost(client % config_.num_edge_servers);
   sim_->Schedule(update.compute_time_ms,
-                 [this, client_host, reply = std::move(reply), wire_bytes]() mutable {
-                   Message m;
-                   m.type = kCentralUpdate;
-                   m.src = client_host;
-                   m.dst = server_host_;
-                   m.size_bytes = wire_bytes;
-                   m.traffic = TrafficClass::kGradient;
-                   m.transport = Transport::kTcp;
-                   m.SetPayload(std::move(reply));
-                   network_->Send(std::move(m));
+                 [this, type, host, parent, wire_bytes, reply = std::move(reply)]() mutable {
+                   Send(type, host, parent, wire_bytes, std::move(reply));
                  });
 }
 
-void CentralizedEngine::OnClientUpdate(const Message& msg) {
-  const auto& payload = msg.As<CentralPayload>();
-  auto it = apps_.find(payload.topic);
-  if (it == apps_.end() || it->second->done) {
+void CentralizedEngine::OnUpdateAtEdge(size_t edge, const Message& msg) {
+  const auto& payload = msg.As<Payload>();
+  AppRuntime* app = LiveApp(payload.topic);
+  if (app == nullptr || payload.round != app->round) {
     return;
   }
-  AppRuntime& app = *it->second;
-  if (payload.round != app.round) {
+  network_->metrics().ChargeWork(EdgeHost(edge), WorkKind::kFlTask,
+                                 kEdgeAggregateMs * kCompute.work_units_per_ms);
+  auto& buffer = app->edge_buffers[edge];
+  buffer.push_back(WeightedUpdate{payload.weights, payload.sample_weight});
+  if (buffer.size() < app->clients_per_edge.at(edge)) {
+    return;
+  }
+  // Partial aggregation at the edge, then one update up to the server.
+  Payload up{app->topic, app->round, FederatedAverage(buffer)};
+  for (const auto& u : buffer) {
+    up.sample_weight += u.sample_weight;
+  }
+  buffer.clear();
+  const uint64_t bytes = up.weights.size() * sizeof(float);
+  Send(kCentralUpdate, EdgeHost(edge), kServer, bytes, std::move(up));
+}
+
+void CentralizedEngine::OnUpdateAtServer(const Message& msg) {
+  const auto& payload = msg.As<Payload>();
+  AppRuntime* app = LiveApp(payload.topic);
+  if (app == nullptr || payload.round != app->round) {
     return;  // Stale.
   }
   // Each update's aggregation is one serial coordinator task.
-  const double kparams = static_cast<double>(app.global_weights.size()) / 1000.0;
+  const double kparams = static_cast<double>(app->global_weights.size()) / 1000.0;
   // Copy the pieces the coordinator needs; the message dies after this handler.
   WeightedUpdate update{payload.weights, payload.sample_weight};
-  EnqueueCoordinatorWork(
-      config_.aggregate_ms_const + config_.aggregate_ms_per_kparam * kparams,
-      [this, topic = app.topic, update = std::move(update)]() mutable {
-        auto it2 = apps_.find(topic);
-        if (it2 == apps_.end() || it2->second->done) {
-          return;
-        }
-        AppRuntime& app2 = *it2->second;
-        app2.received.push_back(std::move(update));
-        CHECK_GT(app2.pending_updates, 0u);
-        app2.pending_updates -= 1;
-        if (app2.pending_updates == 0) {
-          FinishRound(app2);
-        }
-      });
+  EnqueueCoordinatorWork(config_.aggregate_ms_const + kAggregateMsPerKparam * kparams,
+                         [this, topic = app->topic, update = std::move(update)]() mutable {
+                           AppRuntime* live = LiveApp(topic);
+                           if (live == nullptr) {
+                             return;
+                           }
+                           live->received.push_back(std::move(update));
+                           CHECK_GT(live->pending_updates, 0u);
+                           live->pending_updates -= 1;
+                           if (live->pending_updates == 0) {
+                             FinishRound(*live);
+                           }
+                         });
 }
 
 void CentralizedEngine::FinishRound(AppRuntime& app) {
   app.global_weights = FederatedAverage(app.received);
   app.received.clear();
   app.global_model->SetWeights(app.global_weights);
-  network_->metrics().ChargeWork(server_host_, WorkKind::kFlTask,
+  network_->metrics().ChargeWork(kServer, WorkKind::kFlTask,
                                  static_cast<double>(app.global_model->NumParams()) *
                                      static_cast<double>(app.test_set.size()));
   const double accuracy = app.global_model->Accuracy(app.test_set);
   const double now = sim_->Now();
-  app.result.curve.push_back(AccuracyPoint{now - app.launch_time_ms, app.round, accuracy});
-  app.result.rounds_completed = app.round;
-  app.result.final_accuracy = accuracy;
   TLOG_INFO("central app %s round %llu accuracy %.4f at t=%.1fms", app.config.name.c_str(),
             static_cast<unsigned long long>(app.round), accuracy, now);
-  if (!app.result.reached_target && accuracy >= app.config.target_accuracy) {
-    app.result.reached_target = true;
-    app.result.time_to_target_ms = now - app.launch_time_ms;
-  }
-  if (app.result.reached_target || app.round >= app.config.max_rounds) {
+  if (RecordRound(app.config, now - app.launch_time_ms, app.round, accuracy, &app.result)) {
     app.done = true;
-    app.result.total_time_ms = now - app.launch_time_ms;
     return;
   }
   StartRound(app);
+}
+
+void CentralizedEngine::FailEdgeServer(size_t edge_index) {
+  CHECK_LT(edge_index, config_.num_edge_servers);
+  network_->SetHostUp(EdgeHost(edge_index), false);
 }
 
 bool CentralizedEngine::AllDone() const {

@@ -190,6 +190,4 @@ std::size_t Rng::WeightedIndex(const std::vector<double>& weights) {
   return weights.size() - 1;
 }
 
-Rng Rng::Fork() { return Rng(Next() ^ 0xA02BDBF7BB3C0A7ull); }
-
 }  // namespace totoro

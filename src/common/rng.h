@@ -63,10 +63,6 @@ class Rng {
     }
   }
 
-  // Derives an independent child generator; used to give each simulated node its own
-  // stream without correlations.
-  Rng Fork();
-
  private:
   uint64_t s_[4];
   double cached_gaussian_ = 0.0;

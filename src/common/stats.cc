@@ -15,12 +15,6 @@ void Summary::Add(double x) {
   sorted_valid_ = false;
 }
 
-void Summary::AddAll(const std::vector<double>& xs) {
-  for (double x : xs) {
-    Add(x);
-  }
-}
-
 double Summary::Mean() const { return samples_.empty() ? 0.0 : sum_ / samples_.size(); }
 
 double Summary::Stddev() const {
@@ -59,16 +53,6 @@ double Summary::Percentile(double q) const {
   }
   const double frac = pos - static_cast<double>(i);
   return sorted_[i] * (1.0 - frac) + sorted_[i + 1] * frac;
-}
-
-std::string Summary::Brief() const {
-  if (samples_.empty()) {
-    return "n=0";
-  }
-  char buf[160];
-  std::snprintf(buf, sizeof(buf), "n=%zu mean=%.4g p50=%.4g p99=%.4g max=%.4g", count(),
-                Mean(), Percentile(0.5), Percentile(0.99), Max());
-  return buf;
 }
 
 void Summary::EnsureSorted() const {

@@ -14,7 +14,6 @@ namespace totoro {
 class Summary {
  public:
   void Add(double x);
-  void AddAll(const std::vector<double>& xs);
 
   size_t count() const { return samples_.size(); }
   double sum() const { return sum_; }
@@ -27,9 +26,6 @@ class Summary {
   double Median() const { return Percentile(0.5); }
 
   const std::vector<double>& samples() const { return samples_; }
-
-  // "mean=... p50=... p99=... max=..." convenience string.
-  std::string Brief() const;
 
  private:
   void EnsureSorted() const;

@@ -83,6 +83,14 @@ struct AppResult {
   std::vector<AccuracyPoint> curve;
 };
 
+// The stopping rule every engine applies after evaluating a round: appends the curve
+// point, sets rounds_completed and final_accuracy, and stamps time_to_target_ms the first
+// time `accuracy` reaches config.target_accuracy. Returns true when the app stops (target
+// reached or config.max_rounds run), having stamped total_time_ms. `elapsed_ms` is the
+// virtual time since launch.
+bool RecordRound(const FlAppConfig& config, double elapsed_ms, uint64_t round,
+                 double accuracy, AppResult* result);
+
 // Heterogeneity mapping of §7.5: a physical node with 2^k cores hosts k logical P2P
 // nodes (2 cores -> 1, 4 -> 2, 8 -> 3), so resource-rich devices absorb more overlay
 // load.

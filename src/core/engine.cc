@@ -43,6 +43,22 @@ int VirtualNodeCount(int cpu_cores) {
   return count < 1 ? 1 : count;
 }
 
+bool RecordRound(const FlAppConfig& config, double elapsed_ms, uint64_t round,
+                 double accuracy, AppResult* result) {
+  result->curve.push_back(AccuracyPoint{elapsed_ms, round, accuracy});
+  result->rounds_completed = round;
+  result->final_accuracy = accuracy;
+  if (!result->reached_target && accuracy >= config.target_accuracy) {
+    result->reached_target = true;
+    result->time_to_target_ms = elapsed_ms;
+  }
+  if (!result->reached_target && round < config.max_rounds) {
+    return false;
+  }
+  result->total_time_ms = elapsed_ms;
+  return true;
+}
+
 TotoroEngine::TotoroEngine(Forest* forest, ComputeModel compute, uint64_t seed)
     : forest_(forest), compute_(compute), rng_(seed),
       pool_(std::make_unique<ComputePool>(ComputePool::ThreadsFromEnv())) {
@@ -650,6 +666,7 @@ void TotoroEngine::OnAsyncUpdate(const NodeId& key, const Message& msg) {
 
 void TotoroEngine::EvaluateAndAdvance(AppRuntime& app, uint64_t round) {
   app.round_deadline.Cancel();
+  bool finished = false;
   {
     // Scope closes before the next round's plan/disseminate phases open.
     ProfileScope profile_evaluate("evaluate");
@@ -675,28 +692,16 @@ void TotoroEngine::EvaluateAndAdvance(AppRuntime& app, uint64_t round) {
     if (failover_enabled_) {
       ReplicateCheckpoint(app);
     }
-    app.result.curve.push_back(AccuracyPoint{now - app.launch_time_ms, round, accuracy});
-    app.result.rounds_completed = round;
-    app.result.final_accuracy = accuracy;
     TLOG_INFO("app %s round %llu accuracy %.4f at t=%.1fms", app.config.name.c_str(),
               static_cast<unsigned long long>(round), accuracy, now);
-
-    if (!app.result.reached_target && accuracy >= app.config.target_accuracy) {
-      app.result.reached_target = true;
-      app.result.time_to_target_ms = now - app.launch_time_ms;
-    }
+    finished =
+        RecordRound(app.config, now - app.launch_time_ms, round, accuracy, &app.result);
   }
-  if (app.result.reached_target || round >= app.config.max_rounds) {
-    FinishApp(app);
+  if (finished) {
+    app.done = true;
     return;
   }
   StartRound(app);
-}
-
-void TotoroEngine::FinishApp(AppRuntime& app) {
-  app.done = true;
-  app.result.total_time_ms =
-      forest_->pastry().network()->sim()->Now() - app.launch_time_ms;
 }
 
 bool TotoroEngine::AllDone() const {

@@ -168,7 +168,6 @@ class TotoroEngine {
   void OnAsyncUpdate(const NodeId& key, const Message& msg);
   void EvaluateAndAdvance(AppRuntime& app, uint64_t round);
   void StartRound(AppRuntime& app);
-  void FinishApp(AppRuntime& app);
   void ReplicateCheckpoint(AppRuntime& app);
   void WatchdogTick();
 

@@ -33,18 +33,6 @@ const char* FaultKindName(FaultKind kind) {
   return "unknown";
 }
 
-const char* AttackKindName(AttackKind kind) {
-  switch (kind) {
-    case AttackKind::kSignFlip:
-      return "sign_flip";
-    case AttackKind::kGaussianNoise:
-      return "gaussian_noise";
-    case AttackKind::kGradientScale:
-      return "gradient_scale";
-  }
-  return "unknown";
-}
-
 FaultScript& FaultScript::PartitionAt(SimTime at, std::vector<HostId> group_a,
                                       std::vector<HostId> group_b) {
   CHECK(!group_a.empty());

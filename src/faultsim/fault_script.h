@@ -61,8 +61,6 @@ enum class AttackKind {
   kGradientScale,  // w := ref + scale * (w - ref): amplify the delta.
 };
 
-const char* AttackKindName(AttackKind kind);
-
 // A Byzantine attacker rule. While active, every update submitted by a host in
 // `attackers` is rewritten via `kind`; sybil joins forge an update from the reference
 // alone (their "honest" w is the reference itself, so kGaussianNoise is the natural

@@ -1,7 +1,6 @@
 #include "src/ml/tensor.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "src/common/check.h"
 #include "src/ml/kernels.h"
@@ -161,14 +160,6 @@ float Dot(std::span<const float> a, std::span<const float> b) {
     acc += a[i] * b[i];
   }
   return acc;
-}
-
-float L2Norm(std::span<const float> x) {
-  double acc = 0.0;
-  for (float v : x) {
-    acc += static_cast<double>(v) * v;
-  }
-  return static_cast<float>(std::sqrt(acc));
 }
 
 void Scale(std::span<float> x, float alpha) { KScale(x.data(), alpha, x.size()); }

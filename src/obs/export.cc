@@ -214,26 +214,6 @@ std::string MetricsToJson(const MetricsRegistry& registry) {
   return out;
 }
 
-std::string MetricsToCsv(const MetricsRegistry& registry) {
-  std::string out("kind,name,field,value\n");
-  for (const auto& [name, counter] : registry.counters()) {
-    AppendF(&out, "counter,%s,value,%" PRIu64 "\n", name.c_str(), counter->value());
-  }
-  for (const auto& [name, gauge] : registry.gauges()) {
-    AppendF(&out, "gauge,%s,value,%.9g\n", name.c_str(), gauge->value());
-  }
-  for (const auto& [name, histogram] : registry.histograms()) {
-    AppendF(&out, "histogram,%s,count,%" PRIu64 "\n", name.c_str(), histogram->count());
-    AppendF(&out, "histogram,%s,sum,%.9g\n", name.c_str(), histogram->sum());
-    AppendF(&out, "histogram,%s,min,%.9g\n", name.c_str(), histogram->min());
-    AppendF(&out, "histogram,%s,max,%.9g\n", name.c_str(), histogram->max());
-    AppendF(&out, "histogram,%s,mean,%.9g\n", name.c_str(), histogram->mean());
-    AppendF(&out, "histogram,%s,p50,%.9g\n", name.c_str(), histogram->ApproxQuantile(0.5));
-    AppendF(&out, "histogram,%s,p99,%.9g\n", name.c_str(), histogram->ApproxQuantile(0.99));
-  }
-  return out;
-}
-
 uint64_t FingerprintBytes(std::string_view bytes) {
   uint64_t hash = 0xCBF29CE484222325ull;  // FNV-1a 64-bit offset basis.
   for (const char c : bytes) {

@@ -1,14 +1,12 @@
 // Exporters for traces and metric snapshots.
 //
-// Three formats:
+// Two formats:
 //  - Chrome trace-event JSON (TraceToChromeJson): load the file in chrome://tracing or
 //    https://ui.perfetto.dev. Virtual time is the clock — `ts` is virtual microseconds,
 //    `pid` is 0 (one simulated world), `tid` is the HostId, and every event carries
 //    trace_id / span_id / parent_span_id args so causal chains survive the export.
 //  - JSON metrics snapshot (MetricsToJson): counters, gauges, and full histogram bucket
 //    vectors, machine-readable.
-//  - CSV metrics dump (MetricsToCsv): `kind,name,field,value` rows consumable by the
-//    bench/ harnesses and spreadsheets.
 //
 // Output is deterministic: spans export in record order, metrics in name order.
 #ifndef SRC_OBS_EXPORT_H_
@@ -31,7 +29,6 @@ std::string TraceToChromeJson(const Tracer& tracer);
 // microseconds. Loadable in chrome://tracing / Perfetto like TraceToChromeJson output.
 std::string ProfilerToChromeJson(const Profiler& profiler);
 std::string MetricsToJson(const MetricsRegistry& registry);
-std::string MetricsToCsv(const MetricsRegistry& registry);
 
 // FNV-1a over a byte string: the cheap determinism probe. Two runs (or the same run
 // at different TOTORO_COMPUTE_THREADS) are byte-identical iff the fingerprints of

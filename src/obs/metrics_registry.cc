@@ -130,11 +130,6 @@ const Counter* MetricsRegistry::FindCounter(const std::string& name) const {
   return it == counters_.end() ? nullptr : it->second.get();
 }
 
-const Gauge* MetricsRegistry::FindGauge(const std::string& name) const {
-  const auto it = gauges_.find(name);
-  return it == gauges_.end() ? nullptr : it->second.get();
-}
-
 const Histogram* MetricsRegistry::FindHistogram(const std::string& name) const {
   const auto it = histograms_.find(name);
   return it == histograms_.end() ? nullptr : it->second.get();

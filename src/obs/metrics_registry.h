@@ -105,7 +105,6 @@ class MetricsRegistry {
 
   // Lookup without creating; nullptr when absent.
   const Counter* FindCounter(const std::string& name) const;
-  const Gauge* FindGauge(const std::string& name) const;
   const Histogram* FindHistogram(const std::string& name) const;
 
   // Name-ordered views for exporters.

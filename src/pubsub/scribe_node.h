@@ -115,7 +115,6 @@ class ScribeNode {
   bool IsSubscriber(const NodeId& topic) const;
   HostId ParentOf(const NodeId& topic) const;  // kInvalidHost when root/detached.
   std::vector<HostId> ChildrenOf(const NodeId& topic) const;
-  size_t NumTopics() const { return topics_.size(); }
   std::vector<NodeId> Topics() const;
 
   // Tree repair driver; requires config.enable_tree_repair.

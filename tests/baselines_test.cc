@@ -1,8 +1,8 @@
-// Tests for the baseline FL engines (centralized star + hierarchical client-edge-cloud).
+// Tests for the coordinator baseline: the centralized star (no edge servers) and the
+// client-edge-cloud tree (num_edge_servers > 0).
 #include <gtest/gtest.h>
 
 #include "src/baselines/central_engine.h"
-#include "src/baselines/hierarchical_engine.h"
 
 namespace totoro {
 namespace {
@@ -28,9 +28,14 @@ FlAppConfig App(const std::string& name, size_t rounds) {
   return config;
 }
 
-template <typename Engine>
-NodeId Launch(Engine& engine, const std::string& name, size_t num_clients, size_t rounds,
-              uint64_t seed) {
+CentralConfig EdgeServers(size_t count) {
+  CentralConfig config;
+  config.num_edge_servers = count;
+  return config;
+}
+
+NodeId Launch(CentralizedEngine& engine, const std::string& name, size_t num_clients,
+              size_t rounds, uint64_t seed) {
   SyntheticTask task(Task(seed));
   Rng rng(seed + 1);
   std::vector<size_t> clients;
@@ -43,9 +48,9 @@ NodeId Launch(Engine& engine, const std::string& name, size_t num_clients, size_
                           task.Generate(200, rng));
 }
 
-TEST(HierarchicalEngineTest, SingleAppTrainsToGoodAccuracy) {
+TEST(CentralizedEngineTest, EdgeServersTrainToGoodAccuracy) {
   Simulator sim;
-  HierarchicalEngine engine(&sim, HierarchicalConfig{}, 20, 801);
+  CentralizedEngine engine(&sim, EdgeServers(4), 20, 801);
   const NodeId topic = Launch(engine, "hier-a", 16, 8, 802);
   engine.StartAll();
   ASSERT_TRUE(engine.RunToCompletion());
@@ -54,11 +59,11 @@ TEST(HierarchicalEngineTest, SingleAppTrainsToGoodAccuracy) {
   EXPECT_GT(result.final_accuracy, 0.6);
 }
 
-TEST(HierarchicalEngineTest, MatchesCentralizedAccuracy) {
+TEST(CentralizedEngineTest, EdgeServersMatchStarAccuracy) {
   // The hierarchy changes where averaging happens, not its result: nested weighted
   // averages equal the flat average.
   Simulator sim1;
-  HierarchicalEngine hier(&sim1, HierarchicalConfig{}, 20, 811);
+  CentralizedEngine hier(&sim1, EdgeServers(4), 20, 811);
   Simulator sim2;
   CentralizedEngine central(&sim2, CentralConfig{}, 20, 811);
   const NodeId t1 = Launch(hier, "match", 12, 6, 812);
@@ -76,12 +81,10 @@ TEST(HierarchicalEngineTest, MatchesCentralizedAccuracy) {
   }
 }
 
-TEST(HierarchicalEngineTest, EdgeLayerOffloadsCloudDownlink) {
+TEST(CentralizedEngineTest, EdgeServersOffloadCloudDownlink) {
   // The cloud receives one update per edge server instead of one per client.
   Simulator sim;
-  HierarchicalConfig config;
-  config.num_edge_servers = 4;
-  HierarchicalEngine engine(&sim, config, 24, 821);
+  CentralizedEngine engine(&sim, EdgeServers(4), 24, 821);
   Launch(engine, "offload", 24, 2, 822);
   engine.StartAll();
   ASSERT_TRUE(engine.RunToCompletion());
@@ -91,11 +94,11 @@ TEST(HierarchicalEngineTest, EdgeLayerOffloadsCloudDownlink) {
   EXPECT_EQ(cloud.msgs_recv, 8u);
 }
 
-TEST(HierarchicalEngineTest, EdgeServerFailureStallsItsGroup) {
+TEST(CentralizedEngineTest, EdgeServerFailureStallsItsGroup) {
   // The paper's critique of the hierarchical class: an aggregator is a static point of
   // failure — its clients are cut off and the round never completes.
   Simulator sim;
-  HierarchicalEngine engine(&sim, HierarchicalConfig{}, 16, 831);
+  CentralizedEngine engine(&sim, EdgeServers(4), 16, 831);
   const NodeId topic = Launch(engine, "spof", 16, 4, 832);
   engine.FailEdgeServer(1);
   engine.StartAll();
@@ -103,7 +106,7 @@ TEST(HierarchicalEngineTest, EdgeServerFailureStallsItsGroup) {
   EXPECT_EQ(engine.result(topic).rounds_completed, 0u);
 }
 
-TEST(CentralizedEngineTest, SelectionAndCompressionPoliciesApply) {
+TEST(CentralizedEngineTest, CompressionPolicyApplies) {
   Simulator sim;
   CentralizedEngine engine(&sim, CentralConfig{}, 20, 841);
   auto config = App("policy", 3);
@@ -125,6 +128,35 @@ TEST(CentralizedEngineTest, SelectionAndCompressionPoliciesApply) {
   // would cost (10 clients x 3 rounds x 68 params x 4B = 8160B uncompressed).
   const auto& server = engine.network().metrics().traffic(0);
   EXPECT_LT(server.bytes_recv, 4000u);
+}
+
+TEST(CentralizedEngineDeathTest, RejectsPoliciesItDoesNotImplement) {
+  // The baseline runs synchronous FedAvg over every client, so an app asking for any
+  // other protocol fails at launch and the message names the field.
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  const auto launch = [](const FlAppConfig& config) {
+    Simulator sim;
+    CentralizedEngine engine(&sim, CentralConfig{}, 4, 851);
+    SyntheticTask task(Task(852));
+    Rng rng(853);
+    std::vector<Dataset> shards;
+    shards.push_back(task.Generate(20, rng));
+    shards.push_back(task.Generate(20, rng));
+    engine.LaunchApp(config, {0, 1}, std::move(shards), task.Generate(20, rng));
+  };
+  FlAppConfig async = App("async", 1);
+  async.async = AsyncConfig{};
+  EXPECT_DEATH(launch(async), "config.async");
+  FlAppConfig secure = App("secure", 1);
+  secure.secure_aggregation = true;
+  EXPECT_DEATH(launch(secure), "config.secure_aggregation");
+  FlAppConfig robust = App("robust", 1);
+  robust.robust.rule = RobustAggregation::kCoordinateMedian;
+  EXPECT_DEATH(launch(robust), "config.robust.rule");
+  FlAppConfig selecting = App("selecting", 1);
+  selecting.participants_per_round = 1;
+  EXPECT_DEATH(launch(selecting), "config.participants_per_round");
+  launch(App("plain", 1));  // The same launch with none of them set succeeds.
 }
 
 }  // namespace

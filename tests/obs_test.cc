@@ -521,10 +521,6 @@ TEST_F(ObsTest, ExportedJsonIsWellFormed) {
   EXPECT_TRUE(JsonValidator(metrics_json).Valid()) << metrics_json;
   EXPECT_NE(metrics_json.find("\"a.counter\""), std::string::npos);
   EXPECT_NE(metrics_json.find("\"+Inf\""), std::string::npos);
-
-  const std::string csv = MetricsToCsv(registry);
-  EXPECT_NE(csv.find("counter,a.counter,value,7"), std::string::npos);
-  EXPECT_NE(csv.find("histogram,a.hist,count,2"), std::string::npos);
 }
 
 TEST_F(ObsTest, ChromeTraceTimestampsAreVirtualMicroseconds) {

@@ -1,6 +1,6 @@
 // Regression tests for the unordered→ordered container fixes behind totoro_lint rule
 // R2: protocol state whose iteration order feeds event scheduling (scribe topics_,
-// engine apps_/trainers, hierarchical per-edge fan-out) must walk in key order, and
+// engine apps_/trainers, the baseline's per-edge fan-out) must walk in key order, and
 // runs over that state must reproduce byte-identical observability exports — the same
 // byte-equal export pattern as compute_pool_test.
 #include <gtest/gtest.h>
@@ -9,7 +9,7 @@
 #include <string>
 #include <vector>
 
-#include "src/baselines/hierarchical_engine.h"
+#include "src/baselines/central_engine.h"
 #include "src/core/engine.h"
 #include "src/ml/dataset.h"
 #include "src/obs/export.h"
@@ -148,14 +148,14 @@ TEST(OrderedStateTest, MultiAppMaintenanceRunExportsAreByteIdentical) {
   }
 }
 
-// --- Byte-equal regression for the hierarchical baseline's per-edge fan-out ---------
+// --- Byte-equal regression for the baseline's per-edge fan-out ----------------------
 
-std::pair<std::string, std::vector<AppResult>> RunHierarchicalWorld() {
+std::pair<std::string, std::vector<AppResult>> RunEdgeServerWorld() {
   GlobalMetrics().ResetValues();
   Simulator sim;
-  HierarchicalConfig config;
+  CentralConfig config;
   config.num_edge_servers = 4;
-  HierarchicalEngine engine(&sim, config, 20, 99);
+  CentralizedEngine engine(&sim, config, 20, 99);
 
   SyntheticSpec spec;
   spec.dim = 8;
@@ -179,10 +179,10 @@ std::pair<std::string, std::vector<AppResult>> RunHierarchicalWorld() {
   return out;
 }
 
-TEST(OrderedStateTest, HierarchicalEdgeFanoutIsReproducible) {
-  const auto a = RunHierarchicalWorld();
-  const auto b = RunHierarchicalWorld();
-  EXPECT_EQ(a.first, b.first) << "hierarchical metrics export not reproducible";
+TEST(OrderedStateTest, EdgeServerFanoutIsReproducible) {
+  const auto a = RunEdgeServerWorld();
+  const auto b = RunEdgeServerWorld();
+  EXPECT_EQ(a.first, b.first) << "edge-server metrics export not reproducible";
   ASSERT_EQ(a.second.size(), b.second.size());
   EXPECT_EQ(a.second[0].final_accuracy, b.second[0].final_accuracy);
   EXPECT_EQ(a.second[0].total_time_ms, b.second[0].total_time_ms);
