@@ -14,19 +14,26 @@ namespace totoro {
 
 class NeighborhoodSet {
  public:
-  NeighborhoodSet(NodeId self, int capacity);
+  // Unlike the routing table and leaf set, members keep their proximity: it is the
+  // set's sort key.
+  struct Member {
+    RouteEntry entry;
+    double proximity_ms = 0.0;
+  };
 
-  // Keeps the `capacity` lowest-proximity entries. Returns true if the set changed.
-  bool Consider(const RouteEntry& entry);
+  explicit NeighborhoodSet(int capacity);
+
+  // Offers a node other than the owner, at `proximity_ms`; keeps the `capacity`
+  // nearest. Returns true if the set changed.
+  bool Consider(const RouteEntry& entry, double proximity_ms);
   bool Remove(NodeId id);
 
-  const std::vector<RouteEntry>& entries() const { return entries_; }
-  size_t NumEntries() const { return entries_.size(); }
+  const std::vector<Member>& members() const { return members_; }
+  size_t NumEntries() const { return members_.size(); }
 
  private:
-  NodeId self_;
-  size_t capacity_;
-  std::vector<RouteEntry> entries_;  // Sorted by proximity, nearest first.
+  std::vector<Member> members_;  // Sorted by proximity, nearest first.
+  uint32_t capacity_;
 };
 
 }  // namespace totoro

@@ -13,7 +13,7 @@ PastryNetwork::PastryNetwork(Network* net, PastryConfig config) : net_(net), con
 
 void PastryNetwork::Reserve(size_t num_nodes) {
   nodes_.reserve(num_nodes);
-  by_host_.reserve(num_nodes);
+  by_host_.reserve(net_->num_hosts() + num_nodes);
   by_id_.reserve(num_nodes);
   net_->ReserveHosts(num_nodes);
 }
@@ -21,6 +21,9 @@ void PastryNetwork::Reserve(size_t num_nodes) {
 size_t PastryNetwork::AddNode(NodeId id) {
   CHECK(by_id_.find(id) == by_id_.end());
   auto node = std::make_unique<PastryNode>(net_, id, config_);
+  if (by_host_.size() <= node->host()) {
+    by_host_.resize(node->host() + size_t{1}, nullptr);
+  }
   by_host_[node->host()] = node.get();
   by_id_[id] = node.get();
   nodes_.push_back(std::move(node));
@@ -36,8 +39,7 @@ size_t PastryNetwork::AddRandomNode(Rng& rng) {
 }
 
 PastryNode* PastryNetwork::FindByHost(HostId host) {
-  auto it = by_host_.find(host);
-  return it == by_host_.end() ? nullptr : it->second;
+  return host < by_host_.size() ? by_host_[host] : nullptr;
 }
 
 PastryNode* PastryNetwork::FindById(const NodeId& id) {
@@ -150,21 +152,23 @@ class SlotSampler {
 
 // Installs leaf sets and routing tables for sorted positions [begin, end), drawing from
 // `rng` as SlotSampler orders it. Touches only those nodes, their hosts' accounting
-// entries and the const latency model, so disjoint ranges can run concurrently.
+// entries and the const latency model, so disjoint ranges can run concurrently. Each
+// node's routing offers land in dense scratch rows, packed into the table once.
 void InstallRange(const SortedOverlay& overlay, const LatencyModel& latency,
                   const PastryConfig& config, int rows, size_t begin, size_t end,
                   Rng& rng) {
   const size_t n = overlay.ids.size();
   const size_t half_leaf = static_cast<size_t>(config.leaf_set_size) / 2;
   SlotSampler sampler(overlay.ids, config.bits_per_digit, rows);
+  RoutingTable::DenseRows staged;
   for (size_t pos = begin; pos < end; ++pos) {
     PastryNode& node = *overlay.nodes[pos];
     const HostId self = overlay.hosts[pos];
+    staged.Load(node.routing_table());
     // Leaf set: exact ring neighbors from the sorted order.
     for (size_t k = 1; k <= half_leaf && k < n; ++k) {
       for (const size_t other : {(pos + k) % n, (pos + n - k) % n}) {
-        node.Learn(RouteEntry{overlay.ids[other], overlay.hosts[other],
-                              latency.LatencyMs(self, overlay.hosts[other])});
+        node.Learn(RouteEntry{overlay.ids[other], overlay.hosts[other]}, &staged);
       }
     }
     // Routing table: each slot keeps the proximity-closest of its sampled candidates
@@ -179,9 +183,10 @@ void InstallRange(const SortedOverlay& overlay, const LatencyModel& latency,
           best_prox = prox;
         }
       }
-      node.routing_table().Consider(
-          RouteEntry{overlay.ids[best], overlay.hosts[best], best_prox});
+      staged.Consider(RouteEntry{overlay.ids[best], overlay.hosts[best]}, best_prox,
+                      node.proximity());
     });
+    node.routing_table().Assign(staged);
   }
 }
 

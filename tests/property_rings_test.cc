@@ -82,7 +82,7 @@ class TwoLevelSweepTest : public ::testing::TestWithParam<TwoLevelParams> {
     }
     for (auto& table : tables_) {
       for (size_t i = 0; i < ids_.size(); ++i) {
-        table.Consider(RouteEntry{ids_[i], static_cast<HostId>(i), 1.0});
+        table.Consider(RouteEntry{ids_[i], static_cast<HostId>(i)});
       }
     }
   }

@@ -96,7 +96,7 @@ struct TwoLevelWorld {
     // Full knowledge: every table sees every node.
     for (auto& table : tables) {
       for (size_t i = 0; i < ids.size(); ++i) {
-        table.Consider(RouteEntry{ids[i], static_cast<HostId>(i), 1.0});
+        table.Consider(RouteEntry{ids[i], static_cast<HostId>(i)});
       }
     }
   }
