@@ -48,10 +48,6 @@ struct JoinState {
   bool from_rendezvous = false;
 };
 
-struct Announce {
-  RouteEntry node;
-};
-
 struct LeafRepair {
   std::vector<RouteEntry> leaf_entries;
 };
