@@ -12,11 +12,17 @@
 // the route_stats fingerprint (delivered / hops / events) is the same for every K,
 // so CI gates the K=1 and K=4 runs against the SAME committed baseline.
 //
+// Alongside the throughput it reports each phase's wall seconds (node add, BuildOracle,
+// forest build, handler install, event loop, teardown) and the resident-set growth per
+// node across the overlay build — metrics with tolerances, never fingerprints, printed
+// to stderr so stdout stays comparable between runs.
+//
 // Usage: bench_scale_smoke [nodes] [routes]   (defaults: 100000 nodes, 20000 routes)
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -33,9 +39,10 @@ int Run(size_t nodes, size_t routes) {
   const size_t shards = sim->num_shards();
   std::printf("building %zu-node overlay (oracle construction, %zu shard%s)...\n", nodes,
               shards, shards == 1 ? "" : "s");
-  bench::Stack stack(nodes, 20240807, PastryConfig{}, ScribeConfig{},
-                     /*model_bandwidth=*/false, /*latency_lo=*/2.0, /*latency_hi=*/40.0,
-                     std::move(sim));
+  auto owned_stack = std::make_unique<bench::Stack>(
+      nodes, 20240807, PastryConfig{}, ScribeConfig{}, /*model_bandwidth=*/false,
+      /*latency_lo=*/2.0, /*latency_hi=*/40.0, std::move(sim));
+  bench::Stack& stack = *owned_stack;
   stack.sim.ReserveEvents(1 << 16);
   // Live throughput: update the events/sec gauge from inside the run (sliding window)
   // instead of only as a final average. This makes the gauge wall-clock dependent, so
@@ -54,6 +61,7 @@ int Run(size_t nodes, size_t routes) {
   // sums exact — and deterministic, since addition commutes — at every K.
   std::atomic<uint64_t> delivered{0};
   std::atomic<uint64_t> total_hops{0};
+  const double handlers_start = bench::WallSeconds();
   for (size_t i = 0; i < stack.pastry->size(); ++i) {
     stack.pastry->node(i).SetDeliverHandler(
         1200, [&delivered, &total_hops](const NodeId&, const Message&, int hops) {
@@ -61,6 +69,7 @@ int Run(size_t nodes, size_t routes) {
           total_hops.fetch_add(static_cast<uint64_t>(hops), std::memory_order_relaxed);
         });
   }
+  const double handlers_s = bench::WallSeconds() - handlers_start;
 
   // Pre-plan every route (launch time, source, target) from the seeded Rng so the
   // schedule is one deterministic artifact shared by every engine and shard count.
@@ -92,7 +101,9 @@ int Run(size_t nodes, size_t routes) {
       });
     });
   }
+  const double loop_start = bench::WallSeconds();
   stack.sim.Run();
+  const double loop_s = bench::WallSeconds() - loop_start;
 
   const uint64_t delivered_total = delivered.load();
   const uint64_t hops_total = total_hops.load();
@@ -133,6 +144,24 @@ int Run(size_t nodes, size_t routes) {
   // swings from ambient load alone, so only a gross collapse (>2.5x) should gate.
   report.SetMetric("events_per_sec", stack.sim.EventsPerSecond(), "events/s", 1.5);
   report.SetFingerprint("route_stats", FingerprintBytes(probe));
+  const bench::Stack::BuildPhases phases = stack.phases;
+  GlobalProfiler().RemoveSampler("net_dht_work_units");
+  const double teardown_start = bench::WallSeconds();
+  owned_stack.reset();
+  const double teardown_s = bench::WallSeconds() - teardown_start;
+  // Phase walls on a shared box swing like events_per_sec, hence the same budget; the
+  // resident-set growth moves only with the allocator and the per-node layout.
+  const std::pair<const char*, double> walls[] = {
+      {"phase_add_nodes_s", phases.add_nodes_s}, {"phase_oracle_s", phases.oracle_s},
+      {"phase_forest_s", phases.forest_s},       {"phase_handlers_s", handlers_s},
+      {"phase_event_loop_s", loop_s},            {"phase_teardown_s", teardown_s}};
+  for (const auto& [name, seconds] : walls) {
+    std::fprintf(stderr, "%-20s%.3f s\n", name, seconds);
+    report.SetMetric(name, seconds, "s", 1.5);
+  }
+  const double rss_per_node = phases.overlay_rss_bytes / static_cast<double>(nodes);
+  std::fprintf(stderr, "overlay VmRSS growth: %.0f B/node\n", rss_per_node);
+  report.SetMetric("overlay_rss_bytes_per_node", rss_per_node, "B", 0.5);
   report.Write();
 
   if (delivered_total != routes) {

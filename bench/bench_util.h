@@ -8,6 +8,7 @@
 #ifndef BENCH_BENCH_UTIL_H_
 #define BENCH_BENCH_UTIL_H_
 
+#include <chrono>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -24,6 +25,29 @@
 namespace totoro {
 namespace bench {
 
+// Wall-clock seconds from an arbitrary epoch, for timing phases.
+inline double WallSeconds() {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
+
+// This process's resident set (VmRSS) in bytes, or 0 where /proc is unavailable.
+inline double ResidentBytes() {
+  std::FILE* status = std::fopen("/proc/self/status", "r");
+  if (status == nullptr) {
+    return 0.0;
+  }
+  char line[256];
+  double kb = 0.0;
+  while (std::fgets(line, sizeof(line), status) != nullptr) {
+    if (std::sscanf(line, "VmRSS: %lf kB", &kb) == 1) {
+      break;
+    }
+  }
+  std::fclose(status);
+  return kb * 1024.0;
+}
+
 // A complete Totoro stack on a uniform-latency WAN.
 //
 // The engine defaults to Simulator() — one shard, run inline on the calling thread;
@@ -37,6 +61,16 @@ struct Stack {
   std::unique_ptr<PastryNetwork> pastry;
   std::unique_ptr<Forest> forest;
   Rng rng;
+  // Wall seconds of each construction phase, and the resident-set growth across the
+  // overlay build (node add and BuildOracle; process-wide, so meaningful only when one
+  // stack builds at a time).
+  struct BuildPhases {
+    double add_nodes_s = 0.0;
+    double oracle_s = 0.0;
+    double forest_s = 0.0;
+    double overlay_rss_bytes = 0.0;
+  };
+  BuildPhases phases;
 
   Stack(size_t nodes, uint64_t seed, PastryConfig pastry_config = {},
         ScribeConfig scribe_config = {}, bool model_bandwidth = true,
@@ -52,13 +86,24 @@ struct Stack {
         &sim, std::make_unique<PairwiseUniformLatency>(latency_lo, latency_hi, seed ^ 0xFEED),
         net_config);
     sim.SetLookaheadMs(net->latency_model().MinLatencyMs());
+    const double rss_before = ResidentBytes();
+    double mark = WallSeconds();
+    const auto lap = [&mark] {
+      const double start = mark;
+      mark = WallSeconds();
+      return mark - start;
+    };
     pastry = std::make_unique<PastryNetwork>(net.get(), pastry_config);
     pastry->Reserve(nodes);
     for (size_t i = 0; i < nodes; ++i) {
       pastry->AddRandomNode(rng);
     }
+    phases.add_nodes_s = lap();
     pastry->BuildOracle(rng);
+    phases.oracle_s = lap();
+    phases.overlay_rss_bytes = ResidentBytes() - rss_before;
     forest = std::make_unique<Forest>(pastry.get(), scribe_config);
+    phases.forest_s = lap();
   }
 
   std::vector<size_t> AllNodes() const {
