@@ -38,7 +38,10 @@ struct CentralizedEngine::Payload {
 struct CentralizedEngine::AppRuntime {
   FlAppConfig config;
   NodeId topic;
-  std::unique_ptr<Model> global_model;
+  // The app's one model: every client trains on it and every round evaluates on it,
+  // inline. Each use loads its weights first, so nothing carries over between uses
+  // (the replica contract in src/ml/model.h).
+  std::unique_ptr<Model> model;
   std::vector<float> global_weights;
   Dataset test_set{1, 2};
   std::vector<size_t> clients;
@@ -124,16 +127,20 @@ NodeId CentralizedEngine::LaunchApp(const FlAppConfig& config,
   auto app = std::make_unique<AppRuntime>();
   app->config = config;
   app->topic = topic;
-  app->global_model = config.model_factory(rng_.Next());
-  app->global_weights = app->global_model->GetWeights();
+  app->model = config.model_factory(rng_.Next());
+  app->global_weights = app->model->GetWeights();
   app->test_set = std::move(test_set);
   app->clients = clients;
   app->result.name = config.name;
   app->result.topic = topic;
   for (size_t i = 0; i < clients.size(); ++i) {
     CHECK_LT(clients[i], nodes_.size() - 1 - config_.num_edge_servers);
-    app->trainers[clients[i]] = std::make_unique<LocalTrainer>(
-        config.model_factory(rng_.Next()), std::move(shards[i]), 1.0, rng_.Next());
+    // The draw after each trainer seed is unused; it keeps every later draw at the
+    // value the committed goldens were recorded with.
+    const uint64_t trainer_seed = rng_.Next();
+    rng_.Next();
+    app->trainers[clients[i]] =
+        std::make_unique<LocalTrainer>(std::move(shards[i]), 1.0, trainer_seed);
     if (config_.num_edge_servers > 0) {
       ++app->clients_per_edge[clients[i] % config_.num_edge_servers];
     }
@@ -241,13 +248,13 @@ void CentralizedEngine::OnModelAtClient(size_t client, const Message& msg) {
   if (trainer_it == app->trainers.end()) {
     return;
   }
-  LocalTrainer& trainer = *trainer_it->second;
-  LocalUpdate update = trainer.Train(payload.weights, app->config.train, kCompute,
-                                     app->config.dp, app->config.compression);
+  LocalUpdate update = trainer_it->second->Train(*app->model, payload.weights,
+                                                 app->config.train, kCompute, app->config.dp,
+                                                 app->config.compression);
   const HostId host = ClientHost(client);
   network_->metrics().ChargeWork(
       host, WorkKind::kFlTask,
-      static_cast<double>(trainer.model().NumParams()) *
+      static_cast<double>(app->model->NumParams()) *
           static_cast<double>(app->config.train.batch_size * app->config.train.local_steps));
   Payload reply{app->topic, payload.round, std::move(update.weights), update.sample_weight};
   const uint64_t wire_bytes = update.wire_bytes;
@@ -311,11 +318,11 @@ void CentralizedEngine::OnUpdateAtServer(const Message& msg) {
 void CentralizedEngine::FinishRound(AppRuntime& app) {
   app.global_weights = FederatedAverage(app.received);
   app.received.clear();
-  app.global_model->SetWeights(app.global_weights);
+  app.model->SetWeights(app.global_weights);
   network_->metrics().ChargeWork(kServer, WorkKind::kFlTask,
-                                 static_cast<double>(app.global_model->NumParams()) *
+                                 static_cast<double>(app.model->NumParams()) *
                                      static_cast<double>(app.test_set.size()));
-  const double accuracy = app.global_model->Accuracy(app.test_set);
+  const double accuracy = app.model->Accuracy(app.test_set);
   const double now = sim_->Now();
   TLOG_INFO("central app %s round %llu accuracy %.4f at t=%.1fms", app.config.name.c_str(),
             static_cast<unsigned long long>(app.round), accuracy, now);

@@ -9,7 +9,9 @@
 //
 // Known knobs:
 //   TOTORO_LOG_LEVEL       debug/info/warn/error/off or 0-4 (src/common/logging.cc)
-//   TOTORO_COMPUTE_THREADS local-training pool size, >= 1   (src/fl/compute_pool.cc)
+//   TOTORO_COMPUTE_THREADS FL compute threads N, >= 1, counting the simulator thread
+//                          (N - 1 workers); default = the CPUs this process may run
+//                          on, and 1 runs inline     (src/fl/compute_pool.cc)
 //   TOTORO_BENCH_THREADS   bench trial parallelism, >= 1    (bench/parallel_runner.cc)
 //   TOTORO_PROFILE         >= 1 enables the phase profiler  (src/obs/profiler.cc)
 //   TOTORO_BENCH_REPORT_DIR  BENCH_*.json output dir, default "."; "off" disables

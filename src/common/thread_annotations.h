@@ -65,7 +65,6 @@ class TOTORO_CAPABILITY("mutex") Mutex {
 
   void Lock() TOTORO_ACQUIRE() { mu_.lock(); }
   void Unlock() TOTORO_RELEASE() { mu_.unlock(); }
-  bool TryLock() TOTORO_TRY_ACQUIRE(true) { return mu_.try_lock(); }
 
  private:
   friend class CondVar;

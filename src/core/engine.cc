@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <exception>
 #include <string>
 
 #include "src/common/check.h"
@@ -60,13 +61,13 @@ bool RecordRound(const FlAppConfig& config, double elapsed_ms, uint64_t round,
 }
 
 TotoroEngine::TotoroEngine(Forest* forest, ComputeModel compute, uint64_t seed)
-    : forest_(forest), compute_(compute), rng_(seed),
-      pool_(std::make_unique<ComputePool>(ComputePool::ThreadsFromEnv())) {
+    : forest_(forest), compute_(compute), rng_(seed) {
   if (forest_->pastry().network()->sim()->num_shards() != 1) {
     CheckFailed(__FILE__, __LINE__,
                 "TotoroEngine runs at K=1 only: its per-app state is not shown to be "
                 "thread-safe, so build its Simulator with one shard");
   }
+  pool_ = std::make_unique<ComputePool>(ComputePool::ThreadsFromEnv());
   MetricsRegistry& metrics = GlobalMetrics();
   series_.deadline_expired = &metrics.GetCounter("engine.round.deadline_expired");
   series_.train_tasks = &metrics.GetCounter("engine.compute.train_tasks");
@@ -110,7 +111,8 @@ void TotoroEngine::SetSpeedFactors(std::vector<double> factors) {
 
 void TotoroEngine::SetComputeThreads(size_t threads) {
   // Joining outstanding tickets first keeps every trainer's happens-before chain
-  // intact across the swap; the old pool's destructor then has nothing in flight.
+  // intact across the swap; the old pool's destructor then has nothing in flight, and
+  // no task holds a replica while the slots are re-sized.
   for (auto& [topic, app] : apps_) {
     (void)topic;
     for (auto& [node, slot] : app->trainers) {
@@ -121,6 +123,10 @@ void TotoroEngine::SetComputeThreads(size_t threads) {
     }
   }
   pool_ = std::make_unique<ComputePool>(threads);
+  for (auto& [topic, app] : apps_) {
+    (void)topic;
+    app->replicas.Resize(pool_->threads());
+  }
 }
 
 void TotoroEngine::EnableFailover(FailoverConfig config) {
@@ -203,15 +209,20 @@ NodeId TotoroEngine::LaunchApp(const FlAppConfig& config, const std::vector<size
   app->master_index = master;
   app->global_model = config.model_factory(rng_.Next());
   app->global_weights = app->global_model->GetWeights();
-  app->test_set = std::move(test_set);
+  app->replicas = ModelReplicas(app->global_model.get(), pool_->threads());
+  app->test_examples = test_set.size();
+  app->test_chunks = std::move(test_set).Split(kEvalChunkExamples);
   app->result.name = config.name;
   app->result.topic = topic;
   for (size_t w = 0; w < workers.size(); ++w) {
     const size_t node = workers[w];
     CHECK(shards[w].size() > 0);
-    app->trainers[node].trainer = std::make_unique<LocalTrainer>(
-        config.model_factory(rng_.Next()), std::move(shards[w]), speed_factors_[node],
-        rng_.Next());
+    // The draw after each trainer seed is unused; it keeps every later draw at the
+    // value the committed goldens were recorded with.
+    const uint64_t trainer_seed = rng_.Next();
+    rng_.Next();
+    app->trainers[node].trainer =
+        std::make_unique<LocalTrainer>(std::move(shards[w]), speed_factors_[node], trainer_seed);
   }
   if (config.secure_aggregation) {
     // Pairwise masking needs a cohort of at least two, and interior nodes must SUM
@@ -432,7 +443,7 @@ void TotoroEngine::OnBroadcast(size_t node_index, const NodeId& topic, uint64_t 
   // Everything the event schedule depends on — the completion stamp, work accounting,
   // the training span — is computed here from inputs available BEFORE training runs,
   // so offloading Train cannot perturb event order, traces or metrics.
-  const size_t params = trainer->model().NumParams();
+  const size_t params = app.global_model->NumParams();
   const size_t examples = app.config.train.batch_size * app.config.train.local_steps;
   const double compute_ms =
       compute_.TrainTimeMs(params, examples, trainer->speed_factor());
@@ -453,9 +464,9 @@ void TotoroEngine::OnBroadcast(size_t node_index, const NodeId& topic, uint64_t 
   }
 
   // Offload the actual CPU work. The task touches only this trainer's private state
-  // (model, shard, RNG) plus immutable inputs — never the thread-local tracer/metrics
-  // registries — and secure masking rides along so the per-client O(cohort * dim) PRG
-  // work also leaves the simulator thread.
+  // (shard, RNG), its slot's replica and immutable inputs — never the thread-local
+  // tracer/metrics registries — and secure masking rides along so the per-client
+  // O(cohort * dim) PRG work also leaves the simulator thread.
   series_.train_tasks->Increment();
   std::shared_ptr<const SecureAggregationGroup> group;
   if (app.config.secure_aggregation) {
@@ -464,23 +475,25 @@ void TotoroEngine::OnBroadcast(size_t node_index, const NodeId& topic, uint64_t 
     group = group_it->second;
   }
   const FlAppConfig* config = &app.config;
+  ModelReplicas* replicas = &app.replicas;
   const ComputeModel compute = compute_;
   std::shared_ptr<const void> broadcast_data = bc.data;  // Keeps RoundPayload alive.
-  ComputePool::Ticket ticket =
-      pool_->Submit([trainer, config, compute, group, node_index, broadcast_data]() {
+  auto result = std::make_shared<LocalUpdate>();
+  ComputePool::Ticket ticket = pool_->Submit(
+      [trainer, replicas, config, compute, group, node_index, broadcast_data,
+       result](size_t exec_slot) {
         const auto* round_payload = static_cast<const RoundPayload*>(broadcast_data.get());
-        LocalUpdate update = trainer->Train(round_payload->weights, config->train, compute,
-                                            config->dp, config->compression);
+        *result = trainer->Train(replicas->For(exec_slot), round_payload->weights,
+                                 config->train, compute, config->dp, config->compression);
         if (group != nullptr) {
-          update.weights = group->MaskUpdate(static_cast<uint64_t>(node_index),
-                                             update.weights, update.sample_weight);
+          result->weights = group->MaskUpdate(static_cast<uint64_t>(node_index),
+                                              result->weights, result->sample_weight);
         }
-        return update;
       });
   slot.pending = ticket;
   // Both branches rejoin the result with an event at the virtual completion stamp that
-  // Take()s the ticket, blocking the wall clock (never virtual time) until the pool has
-  // finished. The event's position must not depend on the off-thread result, only on
+  // Wait()s on the ticket, blocking the wall clock (never virtual time) until the task
+  // has run. The event's position must not depend on the off-thread result, only on
   // compute_ms and the order of this call, so event order is the same at every thread
   // count.
 
@@ -488,8 +501,9 @@ void TotoroEngine::OnBroadcast(size_t node_index, const NodeId& topic, uint64_t 
     // Asynchronous protocol: route the update straight to the master; no tree barrier.
     net->sim()->Schedule(
         compute_ms,
-        [this, node_index, topic, round, train_ctx, ticket, broadcast_data]() mutable {
-          LocalUpdate update = ticket.Take();
+        [this, node_index, topic, round, train_ctx, ticket, result, broadcast_data]() {
+          ticket.Wait();
+          LocalUpdate update = std::move(*result);
           ScopedTraceContext scope(train_ctx);
           if (update_interceptor_ != nullptr) {
             const auto* round_payload =
@@ -516,9 +530,10 @@ void TotoroEngine::OnBroadcast(size_t node_index, const NodeId& topic, uint64_t 
   const bool secure = group != nullptr;
   const bool robust = app.config.robust.rule != RobustAggregation::kNone;
   net->sim()->Schedule(
-      compute_ms, [this, node_index, topic, round, train_ctx, ticket, secure, robust,
-                   broadcast_data]() mutable {
-        LocalUpdate update = ticket.Take();
+      compute_ms, [this, node_index, topic, round, train_ctx, ticket, result, secure, robust,
+                   broadcast_data]() {
+        ticket.Wait();
+        LocalUpdate update = std::move(*result);
         ScopedTraceContext scope(train_ctx);
         if (!secure && update_interceptor_ != nullptr) {
           // Poisoning happens here — on the simulator thread, after the honest train
@@ -670,13 +685,15 @@ void TotoroEngine::EvaluateAndAdvance(AppRuntime& app, uint64_t round) {
   {
     // Scope closes before the next round's plan/disseminate phases open.
     ProfileScope profile_evaluate("evaluate");
-    app.global_model->SetWeights(app.global_weights);
     Network* net = forest_->pastry().network();
     // Evaluation is FL-side master work.
     net->metrics().ChargeWork(forest_->scribe(app.master_index).host(), WorkKind::kFlTask,
                               static_cast<double>(app.global_model->NumParams()) *
-                                  static_cast<double>(app.test_set.size()));
-    const double accuracy = app.global_model->Accuracy(app.test_set);
+                                  static_cast<double>(app.test_examples));
+    // The chunks run on the pool while this event waits (and helps), so no event is
+    // added and virtual time stands still.
+    const double accuracy =
+        ChunkedAccuracy(*pool_, app.replicas, app.global_weights, app.test_chunks);
     const double now = net->sim()->Now();
     app.last_progress_ms = now;
     if (app.round_trace.valid()) {
@@ -728,6 +745,39 @@ const AppResult& TotoroEngine::result(const NodeId& topic) const {
   auto it = apps_.find(topic);
   CHECK(it != apps_.end());
   return it->second->result;
+}
+
+double ChunkedAccuracy(ComputePool& pool, ModelReplicas& replicas,
+                       std::span<const float> weights, const std::vector<Dataset>& chunks) {
+  std::vector<long long> correct(chunks.size(), 0);
+  std::vector<ComputePool::Ticket> tickets;
+  tickets.reserve(chunks.size());
+  size_t examples = 0;
+  for (size_t c = 0; c < chunks.size(); ++c) {
+    examples += chunks[c].size();
+    tickets.push_back(pool.Submit([&replicas, weights, &chunks, &correct, c](size_t slot) {
+      Model& model = replicas.For(slot);
+      model.SetWeights(weights);
+      const double size = static_cast<double>(chunks[c].size());
+      correct[c] = std::llround(model.Accuracy(chunks[c]) * size);
+    }));
+  }
+  // Every task writes into `correct`, so join them all before any exception leaves.
+  std::exception_ptr error;
+  long long total = 0;
+  for (size_t c = 0; c < chunks.size(); ++c) {
+    try {
+      tickets[c].Wait();
+    } catch (...) {
+      error = error != nullptr ? error : std::current_exception();
+    }
+    total += correct[c];
+  }
+  if (error != nullptr) {
+    std::rethrow_exception(error);
+  }
+  CHECK_GT(examples, 0u);
+  return static_cast<double>(total) / static_cast<double>(examples);
 }
 
 std::vector<AppResult> TotoroEngine::AllResults() const {

@@ -29,7 +29,8 @@ namespace totoro {
 class TotoroEngine {
  public:
   // CHECK-fails unless the forest's simulator has one shard: the engine's per-app state
-  // is not shown to be thread-safe, so it runs at K=1 only.
+  // is not shown to be thread-safe, so it runs at K=1 only. The check runs before the
+  // compute pool starts any thread.
   TotoroEngine(Forest* forest, ComputeModel compute, uint64_t seed);
 
   // Per-node relative compute speeds (heterogeneous devices). Defaults to 1.0 for all.
@@ -82,9 +83,12 @@ class TotoroEngine {
   // maintenance) are active; with periodic timers, set a bounded settle instead.
   void SetSubscribeSettleMs(double settle_ms) { subscribe_settle_ms_ = settle_ms; }
 
-  // Replaces the local-training compute pool (see src/fl/compute_pool.h). The engine
-  // starts with TOTORO_COMPUTE_THREADS (default 1 = inline); results are bit-identical
-  // for any thread count. Joins all outstanding training tasks before switching.
+  // Replaces the compute pool that runs local training and evaluation (see
+  // src/fl/compute_pool.h) with one of `threads` compute threads, this thread
+  // included. The engine starts with ComputePool::ThreadsFromEnv(): the CPU count
+  // unless TOTORO_COMPUTE_THREADS says otherwise. Results are bit-identical for any
+  // thread count. Joins every outstanding task first, then re-sizes each app's
+  // replica slots.
   void SetComputeThreads(size_t threads);
   size_t compute_threads() const { return pool_->threads(); }
 
@@ -109,9 +113,9 @@ class TotoroEngine {
   Forest& forest() { return *forest_; }
 
  private:
-  // One worker's trainer plus its in-flight offloaded training task, if any. The
-  // ticket is joined before the trainer is reused or its post-train state (last_loss)
-  // is read, so offloaded runs keep the sequential happens-before order per trainer.
+  // One worker's trainer plus its in-flight training task, if any. The ticket is
+  // joined before the trainer is reused or its post-train state (last_loss) is read,
+  // so pooled runs keep the sequential happens-before order per trainer.
   struct TrainerSlot {
     std::unique_ptr<LocalTrainer> trainer;
     ComputePool::Ticket pending;
@@ -121,9 +125,14 @@ class TotoroEngine {
     FlAppConfig config;
     NodeId topic;
     size_t master_index = SIZE_MAX;
+    // The model as launched. Read-only afterwards: tasks clone their slot's replica
+    // from it, and training and evaluation run on the replicas.
     std::unique_ptr<Model> global_model;
+    ModelReplicas replicas{nullptr, 0};
     std::vector<float> global_weights;
-    Dataset test_set{1, 2};
+    // The master's test set in chunks of kEvalChunkExamples, one evaluation task each.
+    std::vector<Dataset> test_chunks;
+    size_t test_examples = 0;
     // worker node index -> trainer slot. Ordered map: StartRound walks this to build
     // the selection candidate list (RNG consumption order) and SetComputeThreads joins
     // pending tickets in walk order, so iteration order must be stable across runs.
@@ -206,9 +215,20 @@ class TotoroEngine {
   double subscribe_settle_ms_ = 0.0;
   double round_deadline_ms_ = 0.0;
   // Declared last so it is destroyed first: outstanding pool tasks reference trainers
-  // owned by apps_ above.
+  // and replicas owned by apps_ above.
   std::unique_ptr<ComputePool> pool_;
 };
+
+// Master evaluation runs on the compute pool in chunks of this many test examples. The
+// data alone fixes the chunks, never the thread count.
+inline constexpr size_t kEvalChunkExamples = 64;
+
+// Top-1 accuracy of `weights` on a test set split into `chunks`: one pool task per
+// chunk loads the weights into its slot's replica and counts the chunk's correct
+// predictions. The sum over the total size equals Model::Accuracy on the unsplit set
+// bit for bit. Returns once every chunk is done.
+double ChunkedAccuracy(ComputePool& pool, ModelReplicas& replicas,
+                       std::span<const float> weights, const std::vector<Dataset>& chunks);
 
 }  // namespace totoro
 

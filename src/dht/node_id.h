@@ -15,8 +15,14 @@ namespace totoro {
 
 using NodeId = U128;
 
-// Uniformly random node id.
-inline NodeId RandomNodeId(Rng& rng) { return NodeId(rng.Next(), rng.Next()); }
+// Uniformly random node id: the first draw is the low word, the second the high word.
+// The draws sit in named locals because C++ leaves the evaluation order of function
+// arguments unspecified (GCC goes right to left, clang left to right).
+inline NodeId RandomNodeId(Rng& rng) {
+  const uint64_t lo = rng.Next();
+  const uint64_t hi = rng.Next();
+  return NodeId(hi, lo);
+}
 
 // Application id per the paper's §4.3: SHA-1 of the application's textual name, the
 // creator's public key, and a salt, truncated to the 128-bit ring.

@@ -4,29 +4,26 @@
 
 namespace totoro {
 
-LocalTrainer::LocalTrainer(std::unique_ptr<Model> model, Dataset shard, double speed_factor,
-                           uint64_t seed)
-    : model_(std::move(model)), shard_(std::move(shard)), speed_factor_(speed_factor),
-      rng_(seed) {
-  CHECK(model_ != nullptr);
+LocalTrainer::LocalTrainer(Dataset shard, double speed_factor, uint64_t seed)
+    : shard_(std::move(shard)), speed_factor_(speed_factor), rng_(seed) {
   CHECK_GT(speed_factor_, 0.0);
 }
 
-LocalUpdate LocalTrainer::Train(std::span<const float> global_weights,
+LocalUpdate LocalTrainer::Train(Model& model, std::span<const float> global_weights,
                                 const TrainConfig& config, const ComputeModel& compute,
                                 const std::optional<DpConfig>& dp,
                                 const std::optional<CompressionConfig>& compression) {
   CHECK_GT(shard_.size(), 0u);
-  model_->SetWeights(global_weights);
-  last_loss_ = model_->TrainLocal(shard_, config, rng_, global_weights);
+  model.SetWeights(global_weights);
+  last_loss_ = model.TrainLocal(shard_, config, rng_, global_weights);
 
   LocalUpdate update;
-  update.weights = model_->GetWeights();
+  update.weights = model.GetWeights();
   update.sample_weight = static_cast<double>(shard_.size());
   update.train_loss = last_loss_;
   update.compute_time_ms = compute.TrainTimeMs(
-      model_->NumParams(), config.batch_size * config.local_steps, speed_factor_);
-  update.wire_bytes = model_->WireBytes();
+      model.NumParams(), config.batch_size * config.local_steps, speed_factor_);
+  update.wire_bytes = model.WireBytes();
 
   if (dp.has_value()) {
     update.weights = ApplyDp(update.weights, global_weights, *dp, rng_);

@@ -1,14 +1,16 @@
 // Client-side local training: one worker's contribution to one FL round.
 //
-// A LocalTrainer owns a worker's data shard and a private model replica. Each round it
-// loads the broadcast global weights, runs local minibatch SGD (optionally with the
-// FedProx proximal term, gradient clipping + Gaussian noise for differential privacy,
-// and update compression), and emits the update plus the virtual compute time the work
-// costs on this device.
+// A LocalTrainer owns a worker's data shard, speed factor and RNG, but no model: each
+// round it borrows a replica of the app's model (the compute-pool slot's, see
+// ModelReplicas in src/fl/compute_pool.h), loads the broadcast global weights into it,
+// runs local minibatch SGD (optionally with the FedProx proximal term, gradient
+// clipping + Gaussian noise for differential privacy, and update compression), and
+// emits the update plus the virtual compute time the work costs on this device. The
+// replica contract in src/ml/model.h makes the result independent of which replica,
+// and of what it ran before.
 #ifndef SRC_FL_CLIENT_H_
 #define SRC_FL_CLIENT_H_
 
-#include <memory>
 #include <optional>
 #include <vector>
 
@@ -41,23 +43,20 @@ struct LocalUpdate {
 
 class LocalTrainer {
  public:
-  LocalTrainer(std::unique_ptr<Model> model, Dataset shard, double speed_factor,
-               uint64_t seed);
+  LocalTrainer(Dataset shard, double speed_factor, uint64_t seed);
 
-  // Runs one local round starting from `global_weights`.
-  LocalUpdate Train(std::span<const float> global_weights, const TrainConfig& config,
-                    const ComputeModel& compute,
+  // Runs one local round on `model`, starting from `global_weights`.
+  LocalUpdate Train(Model& model, std::span<const float> global_weights,
+                    const TrainConfig& config, const ComputeModel& compute,
                     const std::optional<DpConfig>& dp = std::nullopt,
                     const std::optional<CompressionConfig>& compression = std::nullopt);
 
   const Dataset& shard() const { return shard_; }
   double speed_factor() const { return speed_factor_; }
-  Model& model() { return *model_; }
   // Most recent local training loss; used by utility-based client selection.
   float last_loss() const { return last_loss_; }
 
  private:
-  std::unique_ptr<Model> model_;
   Dataset shard_;
   double speed_factor_;
   Rng rng_;

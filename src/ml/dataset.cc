@@ -20,6 +20,19 @@ std::vector<size_t> Dataset::SampleBatch(size_t n, Rng& rng) const {
   return idx;
 }
 
+std::vector<Dataset> Dataset::Split(size_t chunk_size) && {
+  CHECK_GT(chunk_size, 0u);
+  std::vector<Dataset> chunks;
+  for (size_t i = 0; i < examples_.size(); ++i) {
+    if (i % chunk_size == 0) {
+      chunks.emplace_back(dim_, num_classes_);
+    }
+    chunks.back().examples_.push_back(std::move(examples_[i]));
+  }
+  examples_.clear();
+  return chunks;
+}
+
 SyntheticTask::SyntheticTask(SyntheticSpec spec) : spec_(spec) {
   CHECK_GT(spec_.dim, 0);
   CHECK_GT(spec_.num_classes, 1);

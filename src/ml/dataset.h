@@ -32,6 +32,10 @@ class Dataset {
   // Random sample of `n` indices (with replacement) for minibatching.
   std::vector<size_t> SampleBatch(size_t n, Rng& rng) const;
 
+  // Moves the examples, in order, into datasets of `chunk_size` examples each (the
+  // last may hold fewer).
+  std::vector<Dataset> Split(size_t chunk_size) &&;
+
  private:
   int dim_;
   int num_classes_;

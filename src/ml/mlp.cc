@@ -283,7 +283,8 @@ class MlpModel : public Model {
   std::vector<float> b1_;
   Matrix w2_{0, 0};
   std::vector<float> b2_;
-  // Per-instance Predict scratch (models are single-threaded; trainers own clones).
+  // Per-instance Predict scratch (an instance runs on one thread at a time; pool tasks
+  // borrow per-slot replicas).
   mutable std::vector<float> hidden_scratch_;
   // SgdStep scratch, reused across steps. Every buffer is fully overwritten per call,
   // so reuse carries no state between steps and the math stays bit-identical.

@@ -3,6 +3,14 @@
 // Federated aggregation works on flattened weight vectors: workers train local copies
 // and ship weights; aggregators average them (FedAvg/FedProx). A model therefore only
 // needs Get/SetWeights, a training step, and evaluation.
+//
+// Replica contract: what TrainLocal, Accuracy and Loss compute (and the weights
+// TrainLocal leaves) depends only on the model's weights — the last SetWeights input,
+// as changed by any TrainLocal since — and on the call's arguments. Scratch buffers
+// carry nothing from one call to the next. So after the same SetWeights, any Clone()
+// of a model computes bit-identical results, whatever it ran before; the engines rely
+// on this to let trainers and evaluation tasks borrow a shared per-thread replica
+// instead of each owning a model.
 #ifndef SRC_ML_MODEL_H_
 #define SRC_ML_MODEL_H_
 

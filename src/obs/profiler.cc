@@ -260,9 +260,10 @@ void Profiler::MergeSubtree(const Profiler& other, size_t src, size_t dst) {
   }
 }
 
-void Profiler::MergeFrom(const Profiler& other) {
+void Profiler::MergeFrom(const Profiler& other, size_t under) {
   CHECK(other.stack_.empty());  // A phase still open on another thread can't fold.
-  MergeSubtree(other, 0, 0);
+  CHECK_LT(under, nodes_.size());
+  MergeSubtree(other, 0, under);
   for (const auto& [name, series] : other.samples_) {
     SampleSeries& out = samples_[name];
     if (series.count == 0) {
@@ -280,10 +281,23 @@ void Profiler::MergeFrom(const Profiler& other) {
   }
 }
 
+namespace {
+// LINT: thread-confined the running thread's ProfileCapture target, set and reset by it.
+thread_local Profiler* captured_profiler = nullptr;
+}  // namespace
+
 Profiler& GlobalProfiler() {
   // LINT: thread-confined this IS the per-thread sink; folds run with workers parked.
   static thread_local Profiler profiler;
-  return profiler;
+  return captured_profiler != nullptr ? *captured_profiler : profiler;
 }
+
+ProfileCapture::ProfileCapture(Profiler* target) : previous_(captured_profiler) {
+  if (target != nullptr) {
+    captured_profiler = target;
+  }
+}
+
+ProfileCapture::~ProfileCapture() { captured_profiler = previous_; }
 
 }  // namespace totoro

@@ -129,12 +129,15 @@ class Profiler {
   // state, sources, and registered samplers.
   void Reset();
 
-  // Folds `other`'s phase tree and sample series into this profiler, matching phases
-  // by path (stats add field-wise). `other` must have no open scopes. Callers merge in
-  // a fixed order (worker index, shard index) so double sums stay deterministic for a
-  // given thread count. This is how worker-thread phases — recorded into the workers'
-  // thread-local profilers — reach the exported tree instead of dying with the thread.
-  void MergeFrom(const Profiler& other);
+  // Index into nodes() of the innermost open phase; 0 (the root) when none is open.
+  size_t current_phase() const { return stack_.empty() ? 0 : stack_.back().node; }
+
+  // Folds `other`'s phase tree and sample series into this profiler under the phase
+  // `under` (an index into nodes(); 0 is the root), matching phases by path (stats add
+  // field-wise). `other` must have no open scopes. Callers merge in a fixed order
+  // (shard index, task join order) so double sums stay deterministic. This is how
+  // phases recorded on other threads reach the exported tree.
+  void MergeFrom(const Profiler& other, size_t under = 0);
 
  private:
   friend class ProfileScope;
@@ -166,8 +169,25 @@ class Profiler {
 };
 
 // The thread-wide profiler. Enabled at thread startup when TOTORO_PROFILE is set to a
-// positive integer; SetEnabled overrides at any time.
+// positive integer; SetEnabled overrides at any time. Inside a ProfileCapture it is the
+// capture's target instead.
 Profiler& GlobalProfiler();
+
+// Routes this thread's GlobalProfiler() to `target` for the capture's lifetime, so the
+// phases code opens inside it land in `target`, not in the thread's tree. A compute
+// task records into a profile of its own this way, whichever thread runs it (see
+// src/fl/compute_pool.h). A null target captures nothing. Scopes opened before the
+// capture keep their profiler.
+class ProfileCapture {
+ public:
+  explicit ProfileCapture(Profiler* target);
+  ~ProfileCapture();
+  ProfileCapture(const ProfileCapture&) = delete;
+  ProfileCapture& operator=(const ProfileCapture&) = delete;
+
+ private:
+  Profiler* previous_;
+};
 
 // RAII phase scope: accumulates [construction, destruction) into the profiler's
 // current-phase child `name`. Inert (one predictable branch) when profiling is off.

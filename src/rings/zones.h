@@ -25,8 +25,12 @@ inline NodeId MakeZonedId(ZoneId zone, const U128& suffix, int zone_bits) {
   return prefix | (suffix & mask);
 }
 
+// The suffix's low word is the first draw and its high word the second, drawn into
+// locals because function arguments are evaluated in an unspecified order.
 inline NodeId RandomZonedId(ZoneId zone, int zone_bits, Rng& rng) {
-  return MakeZonedId(zone, U128(rng.Next(), rng.Next()), zone_bits);
+  const uint64_t lo = rng.Next();
+  const uint64_t hi = rng.Next();
+  return MakeZonedId(zone, U128(hi, lo), zone_bits);
 }
 
 // Extracts the zone prefix of an id.

@@ -406,9 +406,7 @@ Outcome RunAttackScenario(RobustConfig robust, AttackKind kind, size_t attackers
   AdvWorld world;
   const NodeId topic = world.LaunchApp(robust, 1400);
   world.injector->Schedule(MakeAttackScript(world, kind, attackers, magnitude));
-  if (compute_threads > 1) {
-    world.engine->SetComputeThreads(compute_threads);
-  }
+  world.engine->SetComputeThreads(compute_threads);
   world.engine->StartAll();
   EXPECT_TRUE(world.engine->RunToCompletion(1e8));
   Outcome out;

@@ -1,10 +1,13 @@
-// ComputePool unit tests plus the tentpole determinism guarantee: a TotoroEngine run
-// with a 4-thread compute pool produces byte-identical observability exports (and
-// results) to the sequential run.
+// ComputePool unit tests plus the determinism guarantee: a TotoroEngine run with
+// 1, 2, 4, 8 or the default number of compute threads produces byte-identical
+// observability exports, profile trees (wall fields aside) and results.
 #include <gtest/gtest.h>
+
+#include <sched.h>
 
 #include <atomic>
 #include <cstdlib>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -13,92 +16,94 @@
 #include "src/fl/compute_pool.h"
 #include "src/ml/dataset.h"
 #include "src/obs/export.h"
+#include "src/obs/profiler.h"
 
 namespace totoro {
 namespace {
-
-LocalUpdate MakeUpdate(float value) {
-  LocalUpdate update;
-  update.weights = {value};
-  update.sample_weight = static_cast<double>(value);
-  return update;
-}
 
 TEST(ComputePoolTest, InlineModeRunsOnSubmitWithoutThreads) {
   ComputePool pool(1);
   EXPECT_EQ(pool.threads(), 1u);
   std::atomic<bool> ran{false};
-  ComputePool::Ticket ticket = pool.Submit([&] {
-    ran = true;
-    return MakeUpdate(7.0f);
+  size_t slot_seen = 99;
+  ComputePool::Ticket ticket = pool.Submit([&](size_t slot) {
+    ran.store(true);
+    slot_seen = slot;
   });
-  // Inline mode runs the task inside Submit — before Wait is ever called.
+  // Inline mode runs the task inside Submit — before Wait is ever called — on slot 0.
   EXPECT_TRUE(ran.load());
-  EXPECT_EQ(ticket.Take().weights[0], 7.0f);
+  EXPECT_EQ(slot_seen, 0u);
+  ticket.Wait();
   EXPECT_EQ(pool.tasks_submitted(), 1u);
 }
 
-// Regression for the orphan-tree bug: ProfileScopes inside offloaded tasks accumulate
-// into the WORKER's thread-local profiler, which used to die with the thread — a
-// profiled run under TOTORO_COMPUTE_THREADS>1 silently lost every task phase. The pool
-// now drains each worker's tree into the owner's profiler at destruction, so worker
-// phases appear in the export.
-TEST(ComputePoolTest, WorkerProfilerPhasesDrainIntoOwnersTree) {
-  // The env var must be visible before the pool's worker threads first touch their
-  // thread-local profilers; a fresh owner thread gives this test a clean tree too.
-  ::setenv("TOTORO_PROFILE", "1", 1);
+// A task records its phases into its own profile, whichever thread runs it, and the
+// join folds that profile into the owner's tree under the phase open at Submit — at
+// Wait, not at pool destruction, so a reader of the tree sees every joined task.
+TEST(ComputePoolTest, TaskProfilesFoldIntoOwnersTreeAtJoin) {
   uint64_t calls = 0;
+  uint64_t nested_calls = 0;
   std::string json;
-  std::thread owner([&calls, &json] {
+  // A fresh owner thread gives this test a clean tree.
+  std::thread owner([&calls, &nested_calls, &json] {
     GlobalProfiler().SetEnabled(true);
+    ComputePool pool(4);
+    std::vector<ComputePool::Ticket> tickets;
     {
-      ComputePool pool(4);
-      std::vector<ComputePool::Ticket> tickets;
+      ProfileScope submit_phase("submit_phase");
       for (int i = 0; i < 16; ++i) {
-        tickets.push_back(pool.Submit([i] { return MakeUpdate(static_cast<float>(i)); }));
+        tickets.push_back(pool.Submit([](size_t) { ProfileScope inner("inner_phase"); }));
       }
-      for (ComputePool::Ticket& ticket : tickets) {
-        ticket.Wait();
-      }
-    }  // Pool destruction joins the workers and folds their trees, worker-index order.
-    const Profiler::PhaseNode* node = GlobalProfiler().Find("compute_task");
-    if (node != nullptr) {
-      calls = node->stats.calls;
     }
+    for (ComputePool::Ticket& ticket : tickets) {
+      ticket.Wait();
+      ticket.Wait();  // A second join folds nothing more.
+    }
+    const Profiler::PhaseNode* node = GlobalProfiler().Find("submit_phase.compute_task");
+    calls = node == nullptr ? 0 : node->stats.calls;
+    const Profiler::PhaseNode* nested =
+        GlobalProfiler().Find("submit_phase.compute_task.inner_phase");
+    nested_calls = nested == nullptr ? 0 : nested->stats.calls;
     json = GlobalProfiler().ToJson();
   });
   owner.join();
-  ::unsetenv("TOTORO_PROFILE");
   EXPECT_EQ(calls, 16u);
+  EXPECT_EQ(nested_calls, 16u);
   EXPECT_NE(json.find("compute_task"), std::string::npos);
 }
 
 TEST(ComputePoolTest, ThreadedPoolCompletesAllTasksWithCorrectResults) {
   ComputePool pool(4);
   EXPECT_EQ(pool.threads(), 4u);
+  std::vector<int> results(64, -1);
   std::vector<ComputePool::Ticket> tickets;
   for (int i = 0; i < 64; ++i) {
-    tickets.push_back(pool.Submit([i] { return MakeUpdate(static_cast<float>(i)); }));
+    tickets.push_back(pool.Submit([&results, i](size_t) {
+      results[static_cast<size_t>(i)] = i * i;
+    }));
   }
   for (int i = 0; i < 64; ++i) {
-    EXPECT_EQ(tickets[static_cast<size_t>(i)].Take().weights[0], static_cast<float>(i));
+    tickets[static_cast<size_t>(i)].Wait();
+    EXPECT_EQ(results[static_cast<size_t>(i)], i * i);
   }
   EXPECT_EQ(pool.tasks_submitted(), 64u);
 }
 
-TEST(ComputePoolTest, WaitIsIdempotentAndResultSurvivesUntilTake) {
+TEST(ComputePoolTest, WaitIsIdempotentOnCopies) {
   ComputePool pool(2);
-  ComputePool::Ticket ticket = pool.Submit([] { return MakeUpdate(3.0f); });
+  int value = 0;
+  ComputePool::Ticket ticket = pool.Submit([&value](size_t) { value = 3; });
   ticket.Wait();
   ticket.Wait();
   ComputePool::Ticket copy = ticket;  // Shared state.
-  EXPECT_EQ(copy.Take().weights[0], 3.0f);
+  copy.Wait();
+  EXPECT_EQ(value, 3);
 }
 
 TEST(ComputePoolTest, ExceptionsPropagateToWait) {
   ComputePool pool(2);
   ComputePool::Ticket ticket =
-      pool.Submit([]() -> LocalUpdate { throw std::runtime_error("boom"); });
+      pool.Submit([](size_t) { throw std::runtime_error("boom"); });
   EXPECT_THROW(ticket.Wait(), std::runtime_error);
 }
 
@@ -108,23 +113,114 @@ TEST(ComputePoolTest, DestructorDrainsQueuedTasks) {
   {
     ComputePool pool(2);
     for (int i = 0; i < 32; ++i) {
-      tickets.push_back(pool.Submit([&ran, i] {
-        ++ran;
-        return MakeUpdate(static_cast<float>(i));
-      }));
+      tickets.push_back(pool.Submit([&ran](size_t) { ran.fetch_add(1); }));
     }
   }
   EXPECT_EQ(ran.load(), 32);
-  for (int i = 0; i < 32; ++i) {
-    EXPECT_EQ(tickets[static_cast<size_t>(i)].Take().weights[0], static_cast<float>(i));
+  for (ComputePool::Ticket& ticket : tickets) {
+    ticket.Wait();  // Done: returns without touching the destroyed pool.
   }
+}
+
+// While the only worker is busy, a waiter runs its own unclaimed task on its own
+// thread (slot 0) instead of sleeping behind the worker.
+TEST(ComputePoolTest, WaiterRunsUnclaimedTaskOnItsOwnThread) {
+  ComputePool pool(2);
+  std::atomic<bool> worker_started{false};
+  std::atomic<bool> release{false};
+  ComputePool::Ticket blocker = pool.Submit([&](size_t) {
+    worker_started.store(true);
+    while (!release.load()) {
+      std::this_thread::yield();
+    }
+  });
+  while (!worker_started.load()) {
+    std::this_thread::yield();
+  }
+  std::thread::id ran_on;
+  size_t ran_slot = 99;
+  ComputePool::Ticket mine = pool.Submit([&](size_t slot) {
+    ran_on = std::this_thread::get_id();
+    ran_slot = slot;
+  });
+  mine.Wait();
+  EXPECT_EQ(ran_on, std::this_thread::get_id());
+  EXPECT_EQ(ran_slot, 0u);
+  release.store(true);
+  blocker.Wait();
+}
+
+// Thousands of tasks on 8 compute threads (7 workers plus the waiting owner, which
+// helps): every task runs exactly once, and no slot ever runs two tasks at a time.
+TEST(ComputePoolTest, EveryTaskRunsOnceAndEachSlotRunsOneTaskAtATime) {
+  constexpr size_t kTasks = 4000;
+  ComputePool pool(8);
+  ASSERT_EQ(pool.threads(), 8u);
+  std::vector<std::atomic<int>> runs(kTasks);
+  std::vector<std::atomic<int>> busy(pool.threads());
+  std::atomic<int> overlaps{0};
+  std::vector<ComputePool::Ticket> tickets;
+  tickets.reserve(kTasks);
+  for (size_t i = 0; i < kTasks; ++i) {
+    tickets.push_back(pool.Submit([&runs, &busy, &overlaps, i](size_t slot) {
+      if (busy[slot].fetch_add(1) != 0) {
+        overlaps.fetch_add(1);
+      }
+      runs[i].fetch_add(1);
+      volatile double sink = 0.0;
+      for (int k = 0; k < 200; ++k) {
+        sink = sink + static_cast<double>(k);
+      }
+      busy[slot].fetch_sub(1);
+    }));
+  }
+  // Join newest first, so the owner mostly finds its own task unclaimed or helps.
+  for (size_t i = kTasks; i-- > 0;) {
+    tickets[i].Wait();
+  }
+  EXPECT_EQ(overlaps.load(), 0);
+  for (size_t i = 0; i < kTasks; ++i) {
+    ASSERT_EQ(runs[i].load(), 1) << "task " << i;
+  }
+}
+
+// An exception thrown by a task that a helping waiter ran surfaces at that task's own
+// ticket, not at the ticket the helper was waiting on.
+TEST(ComputePoolTest, ExceptionInHelperRunTaskSurfacesAtItsOwnTicket) {
+  ComputePool pool(2);
+  std::atomic<bool> worker_started{false};
+  std::atomic<bool> release{false};
+  // The worker holds this task until the owner, helping, runs `releaser` below.
+  ComputePool::Ticket blocker = pool.Submit([&](size_t) {
+    worker_started.store(true);
+    while (!release.load()) {
+      std::this_thread::yield();
+    }
+  });
+  while (!worker_started.load()) {
+    std::this_thread::yield();
+  }
+  ComputePool::Ticket thrower =
+      pool.Submit([](size_t) { throw std::runtime_error("helper-run task"); });
+  ComputePool::Ticket releaser = pool.Submit([&](size_t) { release.store(true); });
+  EXPECT_NO_THROW(blocker.Wait());  // Helps: runs `thrower`, then `releaser`.
+  EXPECT_THROW(thrower.Wait(), std::runtime_error);
+  EXPECT_NO_THROW(releaser.Wait());
+}
+
+size_t AffinityCpus() {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  EXPECT_EQ(sched_getaffinity(0, sizeof(set), &set), 0);
+  return static_cast<size_t>(CPU_COUNT(&set));
 }
 
 TEST(ComputePoolTest, ThreadsFromEnvParsesAndDefaults) {
   ::setenv("TOTORO_COMPUTE_THREADS", "6", 1);
   EXPECT_EQ(ComputePool::ThreadsFromEnv(), 6u);
   ::unsetenv("TOTORO_COMPUTE_THREADS");
-  EXPECT_EQ(ComputePool::ThreadsFromEnv(), 1u);
+  // Unset: the CPUs this process may run on.
+  EXPECT_EQ(ComputePool::ThreadsFromEnv(), AffinityCpus());
 }
 
 TEST(ComputePoolDeathTest, ThreadsFromEnvRejectsZeroAndJunk) {
@@ -156,17 +252,26 @@ FlAppConfig ProbeApp(const std::string& name) {
 struct EngineArtifacts {
   std::string trace;
   std::string metrics;
+  // The profile tree's deterministic fields (paths, calls, virtual ms, events).
+  std::string profile;
   std::vector<AppResult> results;
   uint64_t train_tasks = 0;  // Training tasks handed to the pool.
 };
 
+// Compute-thread count that keeps the engine's default (ComputePool::ThreadsFromEnv).
+constexpr size_t kDefaultThreads = 0;
+
 // One world exercising every offloaded path: a secure-aggregation app with Oort-like
 // selection, a straggler cut by the tree timeout, a round deadline, and an async app
-// with staleness discounting — run at `threads` compute threads.
+// with staleness discounting — run at `threads` compute threads. Profiled, so task
+// phases fold into the tree at every join.
 EngineArtifacts RunEngineWorld(size_t threads) {
   GlobalTracer().Clear();
   GlobalTracer().SetEnabled(true);
   GlobalMetrics().ResetValues();
+  Profiler& profiler = GlobalProfiler();
+  profiler.Reset();
+  profiler.SetEnabled(true);
   EngineArtifacts out;
   {
     Simulator sim;
@@ -182,7 +287,9 @@ EngineArtifacts RunEngineWorld(size_t threads) {
     scribe_config.aggregation_timeout_ms = 200.0;
     Forest forest(&pastry, scribe_config);
     TotoroEngine engine(&forest, ComputeModel{}, 101);
-    engine.SetComputeThreads(threads);
+    if (threads != kDefaultThreads) {
+      engine.SetComputeThreads(threads);
+    }
     engine.SetRoundDeadline(5000.0);
     // Worker 3 is ~5 orders of magnitude slower: every round cuts it off.
     std::vector<double> speeds(50, 1.0);
@@ -229,45 +336,57 @@ EngineArtifacts RunEngineWorld(size_t threads) {
   }
   out.trace = TraceToChromeJson(GlobalTracer());
   out.metrics = MetricsToJson(GlobalMetrics());
+  MetricsRegistry profile_fields;
+  profiler.PublishToMetrics(&profile_fields);
+  out.profile = MetricsToJson(profile_fields);
+  profiler.SetEnabled(false);
+  profiler.Reset();
   GlobalTracer().SetEnabled(false);
   GlobalTracer().Clear();
   GlobalMetrics().ResetValues();
   return out;
 }
 
-TEST(ComputePoolDeterminismTest, FourThreadEngineRunIsByteIdenticalToSequential) {
-  const EngineArtifacts sequential = RunEngineWorld(1);
-  const EngineArtifacts parallel = RunEngineWorld(4);
-
-  // Training actually went through the offload path in both runs.
-  EXPECT_GT(sequential.train_tasks, 0u);
-  EXPECT_EQ(sequential.train_tasks, parallel.train_tasks);
-
-  EXPECT_EQ(sequential.trace, parallel.trace) << "trace export depends on thread count";
-  EXPECT_EQ(sequential.metrics, parallel.metrics)
-      << "metrics export depends on thread count";
-  EXPECT_EQ(FingerprintBytes(sequential.trace), FingerprintBytes(parallel.trace));
-
-  ASSERT_EQ(sequential.results.size(), parallel.results.size());
-  for (size_t i = 0; i < sequential.results.size(); ++i) {
-    const AppResult& a = sequential.results[i];
-    const AppResult& b = parallel.results[i];
-    EXPECT_EQ(a.rounds_completed, b.rounds_completed);
-    EXPECT_EQ(a.final_accuracy, b.final_accuracy);  // Bit-identical, not just close.
-    EXPECT_EQ(a.total_time_ms, b.total_time_ms);
-    ASSERT_EQ(a.curve.size(), b.curve.size());
-    for (size_t p = 0; p < a.curve.size(); ++p) {
-      EXPECT_EQ(a.curve[p].accuracy, b.curve[p].accuracy);
-      EXPECT_EQ(a.curve[p].time_ms, b.curve[p].time_ms);
+void ExpectSameRun(const EngineArtifacts& a, const EngineArtifacts& b) {
+  EXPECT_EQ(a.train_tasks, b.train_tasks);
+  EXPECT_EQ(a.trace, b.trace) << "trace export depends on thread count";
+  EXPECT_EQ(a.metrics, b.metrics) << "metrics export depends on thread count";
+  EXPECT_EQ(a.profile, b.profile) << "profile tree depends on thread count";
+  ASSERT_EQ(a.results.size(), b.results.size());
+  for (size_t i = 0; i < a.results.size(); ++i) {
+    const AppResult& x = a.results[i];
+    const AppResult& y = b.results[i];
+    EXPECT_EQ(x.rounds_completed, y.rounds_completed);
+    EXPECT_EQ(x.final_accuracy, y.final_accuracy);  // Bit-identical, not just close.
+    EXPECT_EQ(x.total_time_ms, y.total_time_ms);
+    ASSERT_EQ(x.curve.size(), y.curve.size());
+    for (size_t p = 0; p < x.curve.size(); ++p) {
+      EXPECT_EQ(x.curve[p].accuracy, y.curve[p].accuracy);
+      EXPECT_EQ(x.curve[p].time_ms, y.curve[p].time_ms);
     }
   }
 }
 
-TEST(ComputePoolDeterminismTest, EightThreadRunMatchesToo) {
-  const EngineArtifacts a = RunEngineWorld(1);
-  const EngineArtifacts b = RunEngineWorld(8);
-  EXPECT_EQ(a.metrics, b.metrics);
-  EXPECT_EQ(a.trace, b.trace);
+TEST(ComputePoolDeterminismTest, FourThreadEngineRunIsByteIdenticalToSequential) {
+  const EngineArtifacts sequential = RunEngineWorld(1);
+  const EngineArtifacts parallel = RunEngineWorld(4);
+
+  // Training actually went through the offload path, and the tasks' phases reached
+  // the tree: every training task was joined, so each has its compute_task call.
+  EXPECT_GT(sequential.train_tasks, 0u);
+  EXPECT_NE(sequential.profile.find("train.compute_task.calls"), std::string::npos);
+  EXPECT_NE(sequential.profile.find("evaluate.compute_task.calls"), std::string::npos);
+  ExpectSameRun(sequential, parallel);
+  EXPECT_EQ(FingerprintBytes(sequential.trace), FingerprintBytes(parallel.trace));
+}
+
+TEST(ComputePoolDeterminismTest, TwoEightAndDefaultThreadRunsMatchToo) {
+  const EngineArtifacts sequential = RunEngineWorld(1);
+  for (size_t threads : {size_t{2}, size_t{8}, kDefaultThreads}) {
+    SCOPED_TRACE(threads == kDefaultThreads ? std::string("default threads")
+                                            : std::to_string(threads) + " threads");
+    ExpectSameRun(sequential, RunEngineWorld(threads));
+  }
 }
 
 }  // namespace

@@ -83,6 +83,28 @@ TEST(VirtualNodeCountTest, MatchesPaperMapping) {
 // this thread. Per-engine caching must (a) keep attributing into the registry's series
 // after ResetValues() zeroes them, and (b) give a later engine on the same thread its
 // own correctly-counted deltas.
+// Master evaluation's chunked accuracy equals Model::Accuracy on the whole test set
+// bit for bit, around the chunk boundary and at a size of several chunks, inline and
+// on a pool.
+TEST(ChunkedAccuracyTest, EqualsWholeSetAccuracy) {
+  SyntheticTask task(SmallTask(41));
+  Rng rng(42);
+  const auto model = MakeMlp("m", 16, 8, 4, 43);
+  const std::vector<float> weights = model->GetWeights();
+  for (size_t threads : {size_t{1}, size_t{4}}) {
+    ComputePool pool(threads);
+    ModelReplicas replicas(model.get(), pool.threads());
+    for (size_t size : {size_t{1}, size_t{63}, size_t{64}, size_t{65}, size_t{400}}) {
+      Dataset test = task.Generate(size, rng);
+      const double whole = model->Accuracy(test);
+      const std::vector<Dataset> chunks = std::move(test).Split(kEvalChunkExamples);
+      EXPECT_EQ(chunks.size(), (size + kEvalChunkExamples - 1) / kEvalChunkExamples);
+      EXPECT_EQ(ChunkedAccuracy(pool, replicas, weights, chunks), whole)
+          << size << " examples, " << threads << " threads";
+    }
+  }
+}
+
 TEST(TotoroEngineTest, MetricSeriesSurviveRegistryValueReset) {
   std::vector<size_t> workers{1, 2, 3, 4, 5, 6};
   const Counter& tasks = GlobalMetrics().GetCounter("engine.compute.train_tasks");

@@ -20,6 +20,16 @@ bool Offer(RoutingTable& rt, const RouteEntry& entry) {
   return rt.Consider(entry, kHostIdProximity(entry.host), kHostIdProximity);
 }
 
+// Pins the draw order of RandomNodeId: the first draw is the low word, the second the
+// high word. Every golden overlay was recorded with ids drawn this way, so a build that
+// swaps the words fails here, under a name that says why, before the goldens do.
+TEST(NodeIdTest, RandomNodeIdDrawsLowWordFirst) {
+  Rng rng(2024);
+  const NodeId id = RandomNodeId(rng);
+  EXPECT_EQ(id.lo(), 0x0e48715a13d7772eull);
+  EXPECT_EQ(id.hi(), 0xc837f3ee8a7a1065ull);
+}
+
 TEST(RoutingTableTest, PlacesEntryByPrefixRowAndDigitColumn) {
   RoutingTable rt(U128::FromHex("ab000000000000000000000000000000"), 4);
   EXPECT_TRUE(Offer(rt, Entry("cd000000000000000000000000000000", 1)));

@@ -1,6 +1,6 @@
 // Tests for the totoro_lint rule engine (tools/lint/): synthetic source snippets are
 // fed through RunLint and the findings checked per rule — a positive and a negative
-// case for each of R1–R9, annotation escape hatches, include-closure resolution,
+// case for each of R1–R10, annotation escape hatches, include-closure resolution,
 // allowlist parsing/matching, and a self-audit that re-lints the real tree in-process
 // and checks the allowlist against its shrink budget.
 #include <algorithm>
@@ -529,7 +529,77 @@ TEST(R9Test, AllowlistAbsorbsNewRuleFindings) {
   EXPECT_TRUE(entries[0].used);
 }
 
-// --- Self-audit: the real tree must be clean under R1–R9 ----------------------------
+// --- R10: at most one Rng draw per argument list ------------------------------------
+
+TEST(R10Test, FlagsTwoDrawsInOneArgumentList) {
+  const auto findings = LintOne("src/dht/x.h",
+                                "inline NodeId RandomNodeId(Rng& rng) {"
+                                " return NodeId(rng.Next(), rng.Next()); }\n");
+  ASSERT_TRUE(HasFinding(findings, "R10", "NodeId"));
+  const auto it = std::find_if(findings.begin(), findings.end(),
+                               [](const Finding& f) { return f.rule == "R10"; });
+  EXPECT_NE(it->message.find("unspecified"), std::string::npos);
+  EXPECT_EQ(it->line, 1);
+}
+
+TEST(R10Test, FlagsDrawsSpreadOverLinesTemplateCallsAndNestedCalls) {
+  // The shape of the old trainer construction: a nested call's draw plus a direct one,
+  // across lines, in a template call's argument list.
+  const auto findings = LintOne("src/core/x.cc",
+                                "void F() {\n"
+                                "  auto t = std::make_unique<LocalTrainer>(\n"
+                                "      factory(rng_.Next()), std::move(shard),\n"
+                                "      rng_->Uniform(0.0, 1.0));\n"
+                                "}\n");
+  ASSERT_TRUE(HasFinding(findings, "R10", "make_unique"));
+  EXPECT_EQ(std::count_if(findings.begin(), findings.end(),
+                          [](const Finding& f) { return f.rule == "R10"; }),
+            1);
+  // Two draws inside a parenthesized subexpression of one argument still count.
+  EXPECT_TRUE(HasFinding(LintOne("bench/x.cc",
+                                 "double d = std::max((rng.Gaussian() * 2.0 +"
+                                 " rng.Exponential(1.0)), 0.0);\n"),
+                         "R10", "max"));
+}
+
+TEST(R10Test, NestedListIsReportedOnceAtItsOwnCall) {
+  const auto findings =
+      LintOne("tools/x.cc", "void F() { Use(U128(rng.Next(), rng.NextBelow(4))); }\n");
+  ASSERT_TRUE(HasFinding(findings, "R10", "U128"));
+  EXPECT_FALSE(HasFinding(findings, "R10", "Use"));
+}
+
+TEST(R10Test, SequencedDrawsStayQuiet) {
+  // Named locals, one draw per list, a draw inside a draw's own list, lambda bodies
+  // and braced lists (both sequenced), and conditions of control statements.
+  EXPECT_TRUE(LintOne("src/dht/x.h",
+                      "inline NodeId RandomNodeId(Rng& rng) {\n"
+                      "  const uint64_t lo = rng.Next();\n"
+                      "  const uint64_t hi = rng.Next();\n"
+                      "  return NodeId(hi, lo);\n"
+                      "}\n")
+                  .empty());
+  EXPECT_TRUE(LintOne("src/ml/x.cc", "float v = Clamp(rng.Gaussian(0.0, 1.0), lo, hi);\n")
+                  .empty());
+  EXPECT_TRUE(LintOne("src/ml/x.cc", "uint64_t k = rng.NextBelow(rng.Next());\n").empty());
+  EXPECT_TRUE(LintOne("src/sim/x.cc",
+                      "void F() {\n"
+                      "  sim->Schedule(rng.Uniform(1.0, 2.0),\n"
+                      "                [&] { a = rng.Next(); b = rng.Next(); });\n"
+                      "  points.push_back({rng.Uniform(0, 1), rng.Uniform(0, 1)});\n"
+                      "  if (rng.Bernoulli(0.5) && rng.Bernoulli(0.5)) { Go(); }\n"
+                      "}\n")
+                  .empty());
+}
+
+TEST(R10Test, QuietOutsideScopedDirsAndForOtherMethods) {
+  EXPECT_TRUE(LintOne("tests/x.cc", "U128 id(rng.Next(), rng.Next());\n").empty());
+  // Not an Rng draw: a free function and unrelated members named like none of them.
+  EXPECT_TRUE(LintOne("src/sim/x.cc", "Pair p(Next(), Next()); F(it.Advance(), it.Peek());\n")
+                  .empty());
+}
+
+// --- Self-audit: the real tree must be clean under R1–R10 ---------------------------
 
 #ifdef TOTORO_REPO_ROOT
 

@@ -1,4 +1,4 @@
-// totoro_lint driver: walks the source tree, runs the R1–R9 rule engine, applies the
+// totoro_lint driver: walks the source tree, runs the R1–R10 rule engine, applies the
 // allowlist, and exits nonzero on any unallowlisted finding, unused allow entry, or
 // allowlist-budget overrun.
 //

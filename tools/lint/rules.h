@@ -46,6 +46,11 @@
 //       ordering and silently mixes with relaxed accesses elsewhere. Additionally,
 //       one member must not mix relaxed with (explicit or implied) seq_cst orders
 //       across its call sites. Escape: `// LINT: atomic-access-ok <why>`.
+//   R10 No argument list under src/, bench/, tools/ or examples/ holds two or more
+//       Rng draw calls (`Next`, `NextBelow`, `UniformInt`, `NextDouble`, `Uniform`,
+//       `Bernoulli`, `Gaussian`, `Exponential`, `Geometric`): argument evaluation
+//       order is unspecified (GCC right to left, clang left to right), so such a call
+//       draws a compiler-dependent world. Draw into named locals, in order, first.
 //
 // The engine is lexer-level by design: no LLVM/clang dependency, so it builds with the
 // project toolchain and runs in a few hundred milliseconds over the whole tree. The
@@ -65,7 +70,7 @@ struct SourceFile {
 };
 
 struct Finding {
-  std::string rule;    // "R1".."R9".
+  std::string rule;    // "R1".."R10".
   std::string file;    // Repo-relative path.
   int line = 0;        // 1-based.
   std::string symbol;  // Offending identifier / metric name; allowlist match key.
@@ -99,6 +104,8 @@ struct LintOptions {
   std::vector<std::string> host_protocol_dirs = {"src/dht", "src/pubsub"};
   // R9 checks atomic-member access discipline in files under this prefix.
   std::string atomic_scope_prefix = "src/";
+  // R10 checks argument lists for multiple Rng draws in these directories.
+  std::vector<std::string> rng_order_dirs = {"src", "bench", "tools", "examples"};
 };
 
 // Runs all rules over `files` (every file is both a lint target and an include-
