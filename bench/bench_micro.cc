@@ -245,17 +245,21 @@ BENCHMARK(BM_SerializeInt8);
 // Console output plus BenchReport capture: every benchmark's adjusted real time lands
 // in BENCH_micro.json as `<name>_ns` so benchdiff can gate regressions (0.75 relative
 // tolerance — micro timings are noisy across machines; a 2x slowdown still fails).
+// With --benchmark_repetitions > 1 the recorded time is the median of the repetitions,
+// which one slow repetition cannot move; otherwise it is the single run's.
 class ReportingConsoleReporter : public benchmark::ConsoleReporter {
  public:
   explicit ReportingConsoleReporter(BenchReport* report) : report_(report) {}
 
   void ReportRuns(const std::vector<Run>& runs) override {
     for (const Run& run : runs) {
-      if (run.run_type != Run::RT_Iteration) {
-        continue;  // Aggregates (mean/median/stddev) would double-count.
+      const bool recorded =
+          run.repetitions > 1
+              ? run.run_type == Run::RT_Aggregate && run.aggregate_name == "median"
+              : run.run_type == Run::RT_Iteration;
+      if (recorded) {
+        report_->SetMetric(run.run_name.str() + "_ns", run.GetAdjustedRealTime(), "ns", 0.75);
       }
-      report_->SetMetric(run.benchmark_name() + "_ns", run.GetAdjustedRealTime(), "ns",
-                         0.75);
     }
     ConsoleReporter::ReportRuns(runs);
   }

@@ -12,10 +12,7 @@
 namespace totoro {
 namespace bench {
 
-size_t DefaultBenchThreads() {
-  const unsigned hw = std::thread::hardware_concurrency();
-  return EnvThreadCount("TOTORO_BENCH_THREADS", hw == 0 ? 1 : static_cast<size_t>(hw));
-}
+size_t DefaultBenchThreads() { return EnvThreadCount("TOTORO_BENCH_THREADS", AvailableCpus()); }
 
 void ParallelFor(size_t n, const std::function<void(size_t)>& fn, size_t threads) {
   if (n == 0) {

@@ -9,7 +9,8 @@
 // collected vector is also independent of thread count (the determinism test suite
 // asserts parallel == sequential).
 //
-// Thread count: TOTORO_BENCH_THREADS env var when set, else hardware concurrency.
+// Thread count: TOTORO_BENCH_THREADS env var when set, else the CPUs this process may
+// run on.
 // `threads == 1` (or a single-core machine) degrades to a plain inline loop.
 #ifndef BENCH_PARALLEL_RUNNER_H_
 #define BENCH_PARALLEL_RUNNER_H_
@@ -23,7 +24,7 @@ namespace totoro {
 namespace bench {
 
 // Worker-thread count: TOTORO_BENCH_THREADS if set to a positive integer, else
-// std::thread::hardware_concurrency(), never less than 1.
+// AvailableCpus() (src/common/env.h).
 size_t DefaultBenchThreads();
 
 // Invokes fn(0) .. fn(n-1), distributing indices across `threads` worker threads

@@ -1,8 +1,12 @@
 #include "src/common/env.h"
 
+#include <sched.h>
+
+#include <algorithm>
 #include <cerrno>
 #include <cstdlib>
 #include <string>
+#include <thread>
 
 #include "src/common/check.h"
 
@@ -31,6 +35,15 @@ long EnvInt64(const char* name, long fallback, long min_value) {
 
 size_t EnvThreadCount(const char* name, size_t fallback) {
   return static_cast<size_t>(EnvInt64(name, static_cast<long>(fallback), 1));
+}
+
+size_t AvailableCpus() {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof(set), &set) == 0) {
+    return std::max<size_t>(1, static_cast<size_t>(CPU_COUNT(&set)));
+  }
+  return std::max<size_t>(1, std::thread::hardware_concurrency());
 }
 
 }  // namespace totoro

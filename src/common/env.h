@@ -12,7 +12,8 @@
 //   TOTORO_COMPUTE_THREADS FL compute threads N, >= 1, counting the simulator thread
 //                          (N - 1 workers); default = the CPUs this process may run
 //                          on, and 1 runs inline     (src/fl/compute_pool.cc)
-//   TOTORO_BENCH_THREADS   bench trial parallelism, >= 1    (bench/parallel_runner.cc)
+//   TOTORO_BENCH_THREADS   bench trial parallelism, >= 1; default = the CPUs this
+//                          process may run on          (bench/parallel_runner.cc)
 //   TOTORO_PROFILE         >= 1 enables the phase profiler  (src/obs/profiler.cc)
 //   TOTORO_BENCH_REPORT_DIR  BENCH_*.json output dir, default "."; "off" disables
 //                                                           (src/obs/bench_report.cc)
@@ -48,6 +49,11 @@ long EnvInt64(const char* name, long fallback, long min_value);
 
 // Positive thread/worker-count knob: EnvInt64 with min_value 1, narrowed to size_t.
 size_t EnvThreadCount(const char* name, size_t fallback);
+
+// The CPUs this process may run on, at least 1: the affinity mask, which honours
+// taskset and cgroup cpusets (std::thread::hardware_concurrency() does not), else
+// hardware_concurrency().
+size_t AvailableCpus();
 
 }  // namespace totoro
 

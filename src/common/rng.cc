@@ -15,8 +15,6 @@ uint64_t SplitMix64(uint64_t& state) {
   return z ^ (z >> 31);
 }
 
-inline uint64_t Rotl64(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
-
 }  // namespace
 
 Rng::Rng(uint64_t seed) {
@@ -26,25 +24,11 @@ Rng::Rng(uint64_t seed) {
   }
 }
 
-uint64_t Rng::Next() {
-  const uint64_t result = Rotl64(s_[1] * 5, 7) * 9;
-  const uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = Rotl64(s_[3], 45);
-  return result;
-}
-
 uint64_t Rng::NextBelow(uint64_t n) {
   CHECK_GT(n, 0u);
-  // Rejection sampling to avoid modulo bias.
-  const uint64_t threshold = (0 - n) % n;
   for (;;) {
     const uint64_t r = Next();
-    if (r >= threshold) {
+    if (Accepts(r, n)) {
       return r % n;
     }
   }

@@ -7,6 +7,7 @@
 #ifndef SRC_COMMON_RNG_H_
 #define SRC_COMMON_RNG_H_
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <utility>
@@ -19,10 +20,26 @@ class Rng {
   explicit Rng(uint64_t seed);
 
   // Uniform over the full 64-bit range.
-  uint64_t Next();
+  uint64_t Next() {
+    const uint64_t result = std::rotl(s_[1] * 5, 7) * 9;
+    const uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = std::rotl(s_[3], 45);
+    return result;
+  }
 
   // Uniform in [0, n). n must be > 0.
   uint64_t NextBelow(uint64_t n);
+
+  // Advances the generator exactly as NextBelow(n) would, without computing the value.
+  void SkipBelow(uint64_t n) {
+    while (!Accepts(Next(), n)) {
+    }
+  }
 
   // Uniform in [lo, hi], inclusive.
   int64_t UniformInt(int64_t lo, int64_t hi);
@@ -64,6 +81,10 @@ class Rng {
   }
 
  private:
+  // NextBelow's rejection rule, which removes modulo bias: a draw r is kept unless it is
+  // below (2^64 - n) % n. That threshold is below n, so it is only computed for r < n.
+  static bool Accepts(uint64_t r, uint64_t n) { return r >= n || r >= (0 - n) % n; }
+
   uint64_t s_[4];
   double cached_gaussian_ = 0.0;
   bool has_cached_gaussian_ = false;

@@ -55,6 +55,15 @@ bool LeafSet::Consider(const NodeId& self, const RouteEntry& entry) {
   return cw || ccw;
 }
 
+void LeafSet::AssignRing(std::span<const RouteEntry> ring) {
+  CHECK(entries_.empty() && ring.size() == static_cast<size_t>(size_));
+  cw_count_ = static_cast<uint32_t>(size_ / 2);
+  entries_.resize(ring.size());
+  for (size_t k = 0; k < ring.size(); ++k) {
+    entries_[k / 2 + (k % 2 == 0 ? 0 : cw_count_)] = ring[k];
+  }
+}
+
 bool LeafSet::Remove(NodeId id) {
   // A sparse ring can hold the node on both sides; each side holds it at most once.
   const auto is_id = [&id](const RouteEntry& e) { return e.id == id; };

@@ -13,6 +13,7 @@
 #define SRC_DHT_LEAF_SET_H_
 
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "src/common/prefetch.h"
@@ -31,6 +32,9 @@ class LeafSet {
   bool Consider(const NodeId& self, const RouteEntry& entry);
   bool Remove(NodeId id);
   bool Contains(NodeId id) const;
+  // Fills an empty set with `ring`: L distinct neighbors alternating clockwise and
+  // counter-clockwise, nearest first. Offering them to Consider in order ends the same.
+  void AssignRing(std::span<const RouteEntry> ring);
 
   // Whether `key` lies within [farthest ccw member, farthest cw member] (the leaf-set
   // coverage interval around self). Always true when the set is not yet full (small

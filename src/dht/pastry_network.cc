@@ -1,11 +1,12 @@
 #include "src/dht/pastry_network.h"
 
 #include <algorithm>
-#include <array>
+#include <atomic>
 #include <cmath>
 #include <thread>
 
 #include "src/common/check.h"
+#include "src/common/env.h"
 
 namespace totoro {
 
@@ -53,6 +54,8 @@ namespace {
 constexpr int kSamplesPerSlot = 4;
 // Below this many nodes per worker, starting a thread costs more than it saves.
 constexpr size_t kMinNodesPerWorker = 4096;
+// Sorted positions per install chunk of a parallel build.
+constexpr size_t kChunkNodes = 1024;
 
 // The overlay in ascending id order as dense arrays, so the build reads a candidate's
 // id and host without dereferencing its node.
@@ -62,10 +65,10 @@ struct SortedOverlay {
   std::vector<HostId> hosts;
 };
 
-// The routing-table sample draws of every node, in the one order both build passes
-// share. Draw(pos) visits the node's slots by row, then column, ascending, skipping its
-// own digit and empty candidate ranges. A range of one node yields that node without a
-// draw; any other yields kSamplesPerSlot `rng.NextBelow` picks from the range.
+// The routing-table slots of every node, in one canonical order. ForEachRange(pos)
+// visits the node's slots by row, then column, ascending, skipping its own digit and
+// empty candidate ranges. The build draws kSamplesPerSlot `rng.NextBelow` picks from
+// each range of more than one node, and none from a range of one.
 //
 // Row r's candidates for column c are the sorted positions whose ids share the node's
 // first r digits and have digit r equal to c. Each call recomputes only the rows whose
@@ -80,29 +83,19 @@ class SlotSampler {
         columns_(1u << bits),
         bounds_(static_cast<size_t>(rows) * (columns_ + 1)) {}
 
-  // Calls on_slot(picks, num_picks) with the sorted positions drawn for each slot of
-  // the node at sorted position `pos`.
-  template <typename OnSlot>
-  void Draw(size_t pos, Rng& rng, OnSlot&& on_slot) {
+  // Calls on_range(first, count) for each slot of the node at sorted position `pos`
+  // whose candidates are the positions [first, first + count).
+  template <typename OnRange>
+  void ForEachRange(size_t pos, OnRange&& on_range) {
     Seek(pos);
-    std::array<size_t, kSamplesPerSlot> picks{};
-    for (int r = 0; r < rows_; ++r) {
+    for (int r = 0; r < valid_rows_; ++r) {
       const uint32_t own_digit = ids_[pos].Digit(r, bits_);
       for (uint32_t c = 0; c < columns_; ++c) {
         const size_t first = Begin(r, c);
         const size_t count = Begin(r, c + 1) - first;
-        if (c == own_digit || count == 0) {
-          continue;
+        if (c != own_digit && count != 0) {
+          on_range(first, count);
         }
-        if (count == 1) {
-          picks[0] = first;
-          on_slot(picks.data(), size_t{1});
-          continue;
-        }
-        for (size_t& pick : picks) {
-          pick = first + rng.NextBelow(count);
-        }
-        on_slot(picks.data(), picks.size());
       }
     }
   }
@@ -129,6 +122,10 @@ class SlotSampler {
         const uint32_t parent_digit = ids_[pos].Digit(r - 1, bits_);
         row[0] = Begin(r - 1, parent_digit);
         row[columns_] = Begin(r - 1, parent_digit + 1);
+        if (row[columns_] - row[0] == 1) {  // Only pos shares r digits: no deeper candidate.
+          valid_rows_ = r;
+          return;
+        }
       }
       // Inside the range digit r never decreases, so each boundary is a partition point.
       const auto end = ids_.begin() + static_cast<ptrdiff_t>(row[columns_]);
@@ -147,54 +144,68 @@ class SlotSampler {
   int rows_;
   uint32_t columns_;
   std::vector<size_t> bounds_;  // rows_ x (columns_ + 1) boundaries.
-  int valid_rows_ = 0;
+  int valid_rows_ = 0;          // Rows holding the cached node's ranges; deeper ones are empty.
 };
 
-// Installs leaf sets and routing tables for sorted positions [begin, end), drawing from
-// `rng` as SlotSampler orders it. Touches only those nodes, their hosts' accounting
+// Installs leaf sets and routing tables for ranges of sorted positions, drawing from
+// `rng` in SlotSampler's order. Touches only those nodes, their hosts' accounting
 // entries and the const latency model, so disjoint ranges can run concurrently. Each
 // node's routing offers land in dense scratch rows, packed into the table once.
-void InstallRange(const SortedOverlay& overlay, const LatencyModel& latency,
-                  const PastryConfig& config, int rows, size_t begin, size_t end,
-                  Rng& rng) {
-  const size_t n = overlay.ids.size();
-  const size_t half_leaf = static_cast<size_t>(config.leaf_set_size) / 2;
-  SlotSampler sampler(overlay.ids, config.bits_per_digit, rows);
+struct RangeInstaller {
+  const SortedOverlay& overlay;
+  const LatencyModel& latency;
+  size_t half_leaf;
+  SlotSampler sampler;
   RoutingTable::DenseRows staged;
-  for (size_t pos = begin; pos < end; ++pos) {
-    PastryNode& node = *overlay.nodes[pos];
-    const HostId self = overlay.hosts[pos];
-    staged.Load(node.routing_table());
-    // Leaf set: exact ring neighbors from the sorted order.
-    for (size_t k = 1; k <= half_leaf && k < n; ++k) {
-      for (const size_t other : {(pos + k) % n, (pos + n - k) % n}) {
-        node.Learn(RouteEntry{overlay.ids[other], overlay.hosts[other]}, &staged);
-      }
-    }
-    // Routing table: each slot keeps the proximity-closest of its sampled candidates
-    // (the earliest draw on a tie).
-    sampler.Draw(pos, rng, [&](const size_t* picks, size_t num_picks) {
-      size_t best = picks[0];
-      double best_prox = latency.LatencyMs(self, overlay.hosts[best]);
-      for (size_t s = 1; s < num_picks; ++s) {
-        const double prox = latency.LatencyMs(self, overlay.hosts[picks[s]]);
-        if (prox < best_prox) {
-          best = picks[s];
-          best_prox = prox;
+  std::vector<RouteEntry> ring;
+
+  void Install(size_t begin, size_t end, Rng& rng) {
+    const size_t n = overlay.ids.size();
+    for (size_t pos = begin; pos < end; ++pos) {
+      PastryNode& node = *overlay.nodes[pos];
+      const HostId self = overlay.hosts[pos];
+      staged.Load(node.routing_table());
+      // Leaf set: exact ring neighbors from the sorted order, nearest first on alternating
+      // sides. On a ring of more than L nodes they are distinct, so an empty leaf set
+      // takes them whole.
+      ring.clear();
+      for (size_t k = 1; k <= half_leaf && k < n; ++k) {
+        for (const size_t other : {(pos + k) % n, (pos + n - k) % n}) {
+          ring.push_back(RouteEntry{overlay.ids[other], overlay.hosts[other]});
         }
       }
-      staged.Consider(RouteEntry{overlay.ids[best], overlay.hosts[best]}, best_prox,
-                      node.proximity());
-    });
-    node.routing_table().Assign(staged);
+      const bool whole = n > 2 * half_leaf && node.leaf_set().NumEntries() == 0;
+      if (whole) {
+        node.leaf_set().AssignRing(ring);
+      }
+      for (const RouteEntry& entry : ring) {
+        node.Learn(entry, &staged, whole);
+      }
+      // Routing table: each slot keeps the proximity-closest of its sampled candidates
+      // (the earliest draw on a tie).
+      sampler.ForEachRange(pos, [&](size_t first, size_t count) {
+        size_t best = count == 1 ? first : first + rng.NextBelow(count);
+        double best_prox = latency.LatencyMs(self, overlay.hosts[best]);
+        for (int s = 1; count > 1 && s < kSamplesPerSlot; ++s) {
+          const size_t pick = first + rng.NextBelow(count);
+          const double prox = latency.LatencyMs(self, overlay.hosts[pick]);
+          if (prox < best_prox) {
+            best = pick;
+            best_prox = prox;
+          }
+        }
+        staged.Consider(RouteEntry{overlay.ids[best], overlay.hosts[best]}, best_prox,
+                        node.proximity());
+      });
+      node.routing_table().Assign(staged);
+    }
   }
-}
+};
 
 }  // namespace
 
 void PastryNetwork::BuildOracle(Rng& rng) {
-  const size_t hardware = std::max(1u, std::thread::hardware_concurrency());
-  BuildOracleOn(rng, std::min(hardware, nodes_.size() / kMinNodesPerWorker));
+  BuildOracleOn(rng, std::min(AvailableCpus(), nodes_.size() / kMinNodesPerWorker));
 }
 
 void PastryNetwork::BuildOracleForTest(Rng& rng, size_t workers) { BuildOracleOn(rng, workers); }
@@ -202,7 +213,6 @@ void PastryNetwork::BuildOracleForTest(Rng& rng, size_t workers) { BuildOracleOn
 void PastryNetwork::BuildOracleOn(Rng& rng, size_t workers) {
   const size_t n = nodes_.size();
   CHECK_GT(n, 0u);
-  workers = std::clamp<size_t>(workers, 1, n);
   SortedOverlay overlay;
   overlay.nodes.reserve(n);
   for (const auto& node : nodes_) {
@@ -222,35 +232,49 @@ void PastryNetwork::BuildOracleOn(Rng& rng, size_t workers) {
   // Rows beyond log_{2^b}(N)+2 have empty candidate intervals w.h.p.; skip them.
   const int rows =
       std::min(digits, static_cast<int>(std::ceil(std::log2(static_cast<double>(n)) / b)) + 2);
-  const LatencyModel& latency = net_->latency_model();
+  RangeInstaller caller{overlay, net_->latency_model(),
+                        static_cast<size_t>(config_.leaf_set_size) / 2,
+                        SlotSampler(overlay.ids, b, rows), {}, {}};
+  const size_t chunks = (n + kChunkNodes - 1) / kChunkNodes;
+  workers = std::clamp<size_t>(workers, 1, chunks);
   if (workers == 1) {
-    InstallRange(overlay, latency, config_, rows, 0, n, rng);
+    caller.Install(0, n, rng);
     return;
   }
 
-  // Worker w owns the sorted positions [range_begin(w), range_begin(w + 1)).
-  const auto range_begin = [n, workers](size_t w) { return n * w / workers; };
-  // Pass 1, serial: make every draw in the canonical order, snapshotting the generator
-  // where each worker's range starts. This leaves `rng` where a one-worker build would.
-  std::vector<Rng> starts;
-  starts.reserve(workers);
+  // Thread c % workers (0 is the caller) installs chunk c, the sorted positions from
+  // c * kChunkNodes, starting its draws at generator state starts[c]. Fixed ownership
+  // keeps each thread's share of the installed tables, and so the growth of its malloc
+  // arena, the same from run to run.
+  std::vector<Rng> starts(chunks, rng);
+  std::vector<std::atomic<bool>> published(chunks);
+  const auto install_chunks = [&](RangeInstaller installer, size_t w) {
+    for (size_t c = w; c < chunks; c += workers) {
+      published[c].wait(false, std::memory_order_acquire);
+      installer.Install(c * kChunkNodes, std::min(n, (c + 1) * kChunkNodes), starts[c]);
+    }
+  };
+  std::vector<std::jthread> threads;
+  for (size_t w = 1; w < workers; ++w) {
+    threads.emplace_back(install_chunks, caller, w);
+  }
+  // The caller steps `rng` through every draw Install makes, in order, without computing
+  // one, and publishes each chunk's start state as it reaches it. `rng` ends where a
+  // one-worker build leaves it.
   SlotSampler sampler(overlay.ids, b, rows);
   for (size_t pos = 0; pos < n; ++pos) {
-    if (starts.size() < workers && pos == range_begin(starts.size())) {
-      starts.push_back(rng);
+    if (pos % kChunkNodes == 0) {
+      starts[pos / kChunkNodes] = rng;
+      published[pos / kChunkNodes].store(true, std::memory_order_release);
+      published[pos / kChunkNodes].notify_all();
     }
-    sampler.Draw(pos, rng, [](const size_t*, size_t) {});
-  }
-  // Pass 2, parallel: each worker replays its range's draws from its snapshot.
-  std::vector<std::jthread> threads;
-  threads.reserve(workers - 1);
-  for (size_t w = 1; w < workers; ++w) {
-    threads.emplace_back([&, w] {
-      InstallRange(overlay, latency, config_, rows, range_begin(w), range_begin(w + 1),
-                   starts[w]);
+    sampler.ForEachRange(pos, [&rng](size_t, size_t count) {
+      for (int s = 0; count > 1 && s < kSamplesPerSlot; ++s) {
+        rng.SkipBelow(count);
+      }
     });
   }
-  InstallRange(overlay, latency, config_, rows, range_begin(0), range_begin(1), starts[0]);
+  install_chunks(std::move(caller), 0);
 }
 
 void PastryNetwork::JoinAll() {

@@ -47,13 +47,14 @@ class PastryNetwork {
   PastryNode* FindById(const NodeId& id);
 
   // Installs converged routing state into every node from global knowledge, drawing
-  // the routing-table samples from `rng`. Large overlays build on up to
-  // std::thread::hardware_concurrency() workers, which call the network's
-  // LatencyModel concurrently. The installed state, the per-host work and state-byte
-  // accounting, and the end state of `rng` are the same at every worker count.
+  // the routing-table samples from `rng`. It runs on min(AvailableCpus(), size() / 4096)
+  // threads, the caller included, which install 1024-node chunks of id order round-robin
+  // and call the network's LatencyModel concurrently. The installed state, the per-host
+  // work and state-byte accounting, and the end state of `rng` are the same at every
+  // thread count.
   void BuildOracle(Rng& rng);
-  // BuildOracle on exactly `workers` threads (clamped to [1, size()]), for tests that
-  // check the worker-count independence.
+  // BuildOracle on exactly `workers` threads (clamped to [1, chunks]), for tests that
+  // check the thread-count independence.
   void BuildOracleForTest(Rng& rng, size_t workers);
 
   // Joins all nodes through the protocol, one at a time (first node bootstraps alone).

@@ -258,7 +258,7 @@ void PastryNode::HandleJoinState(const Message& msg) {
   }
 }
 
-void PastryNode::Learn(const RouteEntry& entry, RoutingTable::DenseRows* staged) {
+void PastryNode::Learn(const RouteEntry& entry, RoutingTable::DenseRows* staged, bool in_leaf_set) {
   if (entry.id == id()) {
     return;
   }
@@ -269,7 +269,7 @@ void PastryNode::Learn(const RouteEntry& entry, RoutingTable::DenseRows* staged)
                         : routing_table_.Consider(entry, proximity_ms, proximity())) {
     delta += kEntryStateBytes;
   }
-  if (leaf_set_.Consider(id(), entry)) {
+  if (in_leaf_set || leaf_set_.Consider(id(), entry)) {
     delta += kEntryStateBytes;
   }
   if (neighborhood_set_.Consider(entry, proximity_ms)) {

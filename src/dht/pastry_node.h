@@ -94,8 +94,9 @@ class PastryNode : public Host {
 
   // Adds a node to local state (oracle bootstrap or gossip). A bulk build passes
   // `staged`, which takes the routing-table offer in the table's place (see
-  // RoutingTable::DenseRows).
-  void Learn(const RouteEntry& entry, RoutingTable::DenseRows* staged = nullptr);
+  // RoutingTable::DenseRows), and `in_leaf_set` when LeafSet::AssignRing placed `entry`.
+  void Learn(const RouteEntry& entry, RoutingTable::DenseRows* staged = nullptr,
+             bool in_leaf_set = false);
 
   // This node's latency to a host, as the routing table's locality tie-break asks.
   ProximityFn proximity() const;

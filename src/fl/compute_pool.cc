@@ -1,8 +1,5 @@
 #include "src/fl/compute_pool.h"
 
-#include <sched.h>
-
-#include <algorithm>
 #include <atomic>
 #include <exception>
 #include <utility>
@@ -12,20 +9,6 @@
 #include "src/obs/profiler.h"
 
 namespace totoro {
-namespace {
-
-// CPUs this process may run on; the affinity mask honours taskset and cgroup cpusets,
-// which hardware_concurrency() does not.
-size_t AvailableCpus() {
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  if (sched_getaffinity(0, sizeof(set), &set) == 0) {
-    return std::max<size_t>(1, static_cast<size_t>(CPU_COUNT(&set)));
-  }
-  return std::max<size_t>(1, std::thread::hardware_concurrency());
-}
-
-}  // namespace
 
 struct ComputePool::Ticket::State {
   Task task;

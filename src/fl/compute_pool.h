@@ -86,8 +86,7 @@ class ComputePool {
   // Tasks accepted so far (deterministic: counted at Submit on the owner thread).
   uint64_t tasks_submitted() const { return tasks_submitted_; }
 
-  // Parses TOTORO_COMPUTE_THREADS (>= 1); when unset, the number of CPUs this process
-  // may run on (sched_getaffinity, else std::thread::hardware_concurrency()).
+  // Parses TOTORO_COMPUTE_THREADS (>= 1); when unset, AvailableCpus().
   static size_t ThreadsFromEnv();
 
  private:

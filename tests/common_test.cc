@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
+#include <sched.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <set>
 #include <string>
@@ -152,6 +154,43 @@ TEST(RngTest, NextBelowStaysInRange) {
     EXPECT_LT(rng.NextBelow(17), 17u);
   }
   EXPECT_EQ(rng.NextBelow(1), 0u);
+}
+
+// NextBelow as it was before it skipped the threshold division for draws >= n. Returns
+// the value and counts the rejected draws.
+uint64_t ReferenceNextBelow(Rng& rng, uint64_t n, int& rejected) {
+  const uint64_t threshold = (0 - n) % n;
+  for (;;) {
+    const uint64_t r = rng.Next();
+    if (r >= threshold) {
+      return r % n;
+    }
+    ++rejected;
+  }
+}
+
+TEST(RngTest, NextBelowAndSkipBelowMatchTheReferenceRejectionRule) {
+  constexpr uint64_t kTwo32 = uint64_t{1} << 32;
+  constexpr uint64_t kTwo63 = uint64_t{1} << 63;
+  for (const uint64_t n : {uint64_t{1}, uint64_t{3}, uint64_t{1000}, kTwo32 + 1, kTwo63 + 1,
+                           ~uint64_t{0}}) {
+    SCOPED_TRACE(testing::Message() << "n=" << n);
+    Rng reference(99);
+    Rng drawn(99);
+    Rng skipped(99);
+    int rejected = 0;
+    for (int i = 0; i < 2000; ++i) {
+      ASSERT_EQ(drawn.NextBelow(n), ReferenceNextBelow(reference, n, rejected));
+      skipped.SkipBelow(n);
+    }
+    const uint64_t next = reference.Next();
+    EXPECT_EQ(drawn.Next(), next);
+    EXPECT_EQ(skipped.Next(), next);
+    if (n == kTwo63 + 1) {
+      // Draws below 2^63 - 1 are rejected: about half of them.
+      EXPECT_GT(rejected, 1500);
+    }
+  }
 }
 
 TEST(RngTest, UniformIntCoversRangeInclusive) {
@@ -353,6 +392,24 @@ TEST(EnvDeathTest, CountKnobRejectsNonIntegersAndValuesBelowItsMinimum) {
         << low;
   }
   ::unsetenv(kTestKnob);
+}
+
+TEST(EnvTest, AvailableCpusFollowsTheAffinityMask) {
+  cpu_set_t original;
+  CPU_ZERO(&original);
+  ASSERT_EQ(sched_getaffinity(0, sizeof(original), &original), 0);
+  EXPECT_EQ(AvailableCpus(), static_cast<size_t>(CPU_COUNT(&original)));
+  int first = 0;
+  while (!CPU_ISSET(first, &original)) {
+    ++first;
+  }
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(first, &one);
+  ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
+  EXPECT_EQ(AvailableCpus(), 1u);
+  ASSERT_EQ(sched_setaffinity(0, sizeof(original), &original), 0);
+  EXPECT_EQ(AvailableCpus(), static_cast<size_t>(CPU_COUNT(&original)));
 }
 
 }  // namespace
