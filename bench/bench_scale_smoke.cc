@@ -145,6 +145,8 @@ int Run(size_t nodes, size_t routes) {
   report.SetMetric("events_per_sec", stack.sim.EventsPerSecond(), "events/s", 1.5);
   report.SetFingerprint("route_stats", FingerprintBytes(probe));
   const bench::Stack::BuildPhases phases = stack.phases;
+  const Simulator::BarrierStats barrier = stack.sim.barrier_stats();
+  const uint64_t events_fired = stack.sim.events_fired();
   GlobalProfiler().RemoveSampler("net_dht_work_units");
   const double teardown_start = bench::WallSeconds();
   owned_stack.reset();
@@ -161,6 +163,19 @@ int Run(size_t nodes, size_t routes) {
   }
   const double rss_per_node = phases.overlay_rss_bytes / static_cast<double>(nodes);
   std::fprintf(stderr, "overlay VmRSS growth: %.0f B/node\n", rss_per_node);
+  // The K>1 barrier's costs depend on K, so they are printed here and never reported.
+  if (shards > 1) {
+    std::fprintf(stderr,
+                 "barrier: %llu windows, %.1f events/window/shard, %llu cross-shard "
+                 "messages, %llu parks\n",
+                 static_cast<unsigned long long>(barrier.windows),
+                 static_cast<double>(events_fired) /
+                     static_cast<double>(barrier.windows * shards),
+                 static_cast<unsigned long long>(barrier.cross_shard_messages),
+                 static_cast<unsigned long long>(barrier.parks));
+    std::fprintf(stderr, "barrier: serial %.3f s, worker busy %.3f s, worker wait %.3f s\n",
+                 barrier.serial_s, barrier.worker_busy_s, barrier.worker_wait_s);
+  }
   report.SetMetric("overlay_rss_bytes_per_node", rss_per_node, "B", 0.5);
   report.Write();
 

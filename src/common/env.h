@@ -25,7 +25,8 @@
 //   TOTORO_SIM_SHARDS      simulator shard count K for MakeSimulatorFromEnv, from 1
 //                          to Simulator::kMaxShards = 256 (a larger K CHECK-fails);
 //                          1 (default) runs inline on the calling thread, K > 1 on
-//                          K worker shards behind the conservative barrier. All K
+//                          K shards behind the conservative barrier: the calling
+//                          thread runs shard 0 and K - 1 workers the rest. All K
 //                          produce bit-identical exports (src/sim/simulator.cc)
 //
 // A count knob that is set but is not an integer, or is below its minimum, CHECK-fails

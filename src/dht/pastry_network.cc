@@ -56,6 +56,9 @@ constexpr int kSamplesPerSlot = 4;
 constexpr size_t kMinNodesPerWorker = 4096;
 // Sorted positions per install chunk of a parallel build.
 constexpr size_t kChunkNodes = 1024;
+// The caller's count-only pass costs about as much as installing one chunk in this
+// many (EXPERIMENTS.md "Two shards that pay", "Caller head start in BuildOracle").
+constexpr size_t kChunksPerPassChunk = 30;
 
 // The overlay in ascending id order as dense arrays, so the build reads a candidate's
 // id and host without dereferencing its node.
@@ -242,16 +245,24 @@ void PastryNetwork::BuildOracleOn(Rng& rng, size_t workers) {
     return;
   }
 
-  // Thread c % workers (0 is the caller) installs chunk c, the sorted positions from
-  // c * kChunkNodes, starting its draws at generator state starts[c]. Fixed ownership
-  // keeps each thread's share of the installed tables, and so the growth of its malloc
-  // arena, the same from run to run.
+  // Thread owner(c) (0 is the caller) installs chunk c, the sorted positions from
+  // c * kChunkNodes, starting its draws at generator state starts[c]. The workers
+  // install the first `head` chunks round robin while the caller runs the count-only
+  // pass, so the caller gets as many fewer chunks as the pass costs; the rest go round
+  // robin over every thread. Fixed ownership keeps each thread's share of the installed
+  // tables, and so the growth of its malloc arena, the same from run to run.
+  const size_t head = (workers - 1) * (chunks / kChunksPerPassChunk);
+  const auto owner = [head, workers](size_t c) {
+    return c < head ? 1 + c % (workers - 1) : (c - head) % workers;
+  };
   std::vector<Rng> starts(chunks, rng);
   std::vector<std::atomic<bool>> published(chunks);
   const auto install_chunks = [&](RangeInstaller installer, size_t w) {
-    for (size_t c = w; c < chunks; c += workers) {
-      published[c].wait(false, std::memory_order_acquire);
-      installer.Install(c * kChunkNodes, std::min(n, (c + 1) * kChunkNodes), starts[c]);
+    for (size_t c = 0; c < chunks; ++c) {
+      if (owner(c) == w) {
+        published[c].wait(false, std::memory_order_acquire);
+        installer.Install(c * kChunkNodes, std::min(n, (c + 1) * kChunkNodes), starts[c]);
+      }
     }
   };
   std::vector<std::jthread> threads;

@@ -3,32 +3,54 @@
 #include "src/common/check.h"
 
 namespace totoro {
+namespace {
+
+// Sample-weighted mean of weight vectors, accumulated in double in Add order. Both
+// FederatedAverage and the FedAvg combiner average through it, so they round alike.
+class WeightedSum {
+ public:
+  void Add(std::span<const float> weights, double sample_weight) {
+    CHECK_GT(sample_weight, 0.0);
+    if (total_ == 0.0) {
+      acc_.assign(weights.size(), 0.0);
+    }
+    CHECK_EQ(weights.size(), acc_.size());
+    for (size_t i = 0; i < acc_.size(); ++i) {
+      acc_[i] += sample_weight * static_cast<double>(weights[i]);
+    }
+    total_ += sample_weight;
+  }
+
+  bool empty() const { return total_ == 0.0; }
+
+  std::vector<float> Mean() const {
+    std::vector<float> out(acc_.size());
+    for (size_t i = 0; i < acc_.size(); ++i) {
+      out[i] = static_cast<float>(acc_[i] / total_);
+    }
+    return out;
+  }
+
+ private:
+  std::vector<double> acc_;
+  double total_ = 0.0;  // Positive once anything was added.
+};
+
+}  // namespace
 
 std::vector<float> FederatedAverage(const std::vector<WeightedUpdate>& updates) {
   CHECK(!updates.empty());
-  const size_t dim = updates[0].weights.size();
-  std::vector<double> acc(dim, 0.0);
-  double total = 0.0;
+  WeightedSum sum;
   for (const auto& u : updates) {
-    CHECK_EQ(u.weights.size(), dim);
-    CHECK_GT(u.sample_weight, 0.0);
-    for (size_t i = 0; i < dim; ++i) {
-      acc[i] += u.sample_weight * static_cast<double>(u.weights[i]);
-    }
-    total += u.sample_weight;
+    sum.Add(u.weights, u.sample_weight);
   }
-  std::vector<float> out(dim);
-  for (size_t i = 0; i < dim; ++i) {
-    out[i] = static_cast<float>(acc[i] / total);
-  }
-  return out;
+  return sum.Mean();
 }
 
 CombineFn MakeFedAvgCombiner() {
   return [](const std::vector<AggregationPiece>& pieces) {
     CHECK(!pieces.empty());
-    std::vector<WeightedUpdate> updates;
-    updates.reserve(pieces.size());
+    WeightedSum sum;
     double total_weight = 0.0;
     uint64_t total_count = 0;
     for (const auto& p : pieces) {
@@ -38,15 +60,14 @@ CombineFn MakeFedAvgCombiner() {
         CHECK_EQ(p.weight, 0.0);
         continue;
       }
-      const auto* payload = static_cast<const WeightsPayload*>(p.data.get());
-      updates.push_back(WeightedUpdate{payload->weights, p.weight});
+      sum.Add(static_cast<const WeightsPayload*>(p.data.get())->weights, p.weight);
       total_weight += p.weight;
       total_count += p.count;
     }
     AggregationPiece out;
-    if (!updates.empty()) {
+    if (!sum.empty()) {
       auto merged = std::make_shared<WeightsPayload>();
-      merged->weights = FederatedAverage(updates);
+      merged->weights = sum.Mean();
       out.data = std::move(merged);
     }
     out.weight = total_weight;

@@ -4,30 +4,10 @@
 #include <cmath>
 
 #include "src/common/check.h"
+#include "src/fl/aggregation.h"
 
 namespace totoro {
 namespace {
-
-// Sample-weighted mean with the exact accumulation order of FederatedAverage
-// (aggregation.cc), so kNormClip with a generous budget reproduces FedAvg bit-for-bit.
-std::vector<float> WeightedMean(const std::vector<WeightedUpdate>& updates) {
-  const size_t dim = updates[0].weights.size();
-  std::vector<double> acc(dim, 0.0);
-  double total = 0.0;
-  for (const auto& u : updates) {
-    CHECK_EQ(u.weights.size(), dim);
-    CHECK_GT(u.sample_weight, 0.0);
-    for (size_t i = 0; i < dim; ++i) {
-      acc[i] += u.sample_weight * static_cast<double>(u.weights[i]);
-    }
-    total += u.sample_weight;
-  }
-  std::vector<float> out(dim);
-  for (size_t i = 0; i < dim; ++i) {
-    out[i] = static_cast<float>(acc[i] / total);
-  }
-  return out;
-}
 
 double DeltaNorm(std::span<const float> weights, std::span<const float> reference) {
   double sum = 0.0;
@@ -159,7 +139,8 @@ std::vector<float> NormClippedMean(const std::vector<WeightedUpdate>& updates,
   if (clipped_out != nullptr) {
     *clipped_out = clipped;
   }
-  return WeightedMean(bounded);
+  // FedAvg of the clipped updates, so a generous budget reproduces FedAvg bit for bit.
+  return FederatedAverage(bounded);
 }
 
 }  // namespace totoro

@@ -90,13 +90,17 @@ void EventQueue::SiftDown(size_t i) {
   heap_[i] = entry;
 }
 
-EventHandle EventQueue::Push(SimTime at, uint64_t key, uint32_t exec_host, EventFn fn) {
+uint32_t EventQueue::Insert(SimTime at, uint64_t key, uint32_t exec_host, EventFn&& fn) {
   const uint32_t slot = AcquireSlot();
-  internal::EventSlot& s = slab_->slots[slot];
-  s.fn = std::move(fn);
+  slab_->slots[slot].fn = std::move(fn);
   heap_.push_back(HeapEntry{at, key, slot, exec_host});
   SiftUp(heap_.size() - 1);
-  return EventHandle(slab_, slot, s.generation);
+  return slot;
+}
+
+EventHandle EventQueue::Push(SimTime at, uint64_t key, uint32_t exec_host, EventFn&& fn) {
+  const uint32_t slot = Insert(at, key, exec_host, std::move(fn));
+  return EventHandle(slab_, slot, slab_->slots[slot].generation);
 }
 
 bool EventQueue::PeekTime(SimTime* at) {

@@ -29,6 +29,7 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "src/sim/event_fn.h"
@@ -89,7 +90,12 @@ class EventQueue {
   EventQueue(const EventQueue&) = delete;
   EventQueue& operator=(const EventQueue&) = delete;
 
-  EventHandle Push(SimTime at, uint64_t key, uint32_t exec_host, EventFn fn);
+  EventHandle Push(SimTime at, uint64_t key, uint32_t exec_host, EventFn&& fn);
+  // Push without a cancellation handle, for events nothing cancels (message arrivals):
+  // it skips the handle's weak_ptr copy and release.
+  void Post(SimTime at, uint64_t key, uint32_t exec_host, EventFn&& fn) {
+    Insert(at, key, exec_host, std::move(fn));
+  }
 
   bool Empty() const { return heap_.empty(); }
   size_t Size() const { return heap_.size(); }
@@ -130,6 +136,8 @@ class EventQueue {
     return a.at < b.at || (a.at == b.at && a.key < b.key);
   }
 
+  // Stores the event and returns its slab slot.
+  uint32_t Insert(SimTime at, uint64_t key, uint32_t exec_host, EventFn&& fn);
   uint32_t AcquireSlot();
   void ReleaseSlot(uint32_t slot);
   void RemoveTop();

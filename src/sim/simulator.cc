@@ -29,6 +29,16 @@ struct WorkerIdentity {
 // LINT: thread-confined a worker's identity is by design one per thread
 thread_local WorkerIdentity tls_worker;
 
+// One spin-wait iteration's pause: frees the core's pipeline (and its sibling
+// hyperthread) while a waiter polls.
+inline void CpuRelax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield");
+#endif
+}
+
 }  // namespace
 
 std::unique_ptr<Simulator> MakeSimulatorFromEnv() {
@@ -60,14 +70,18 @@ Simulator::Simulator(size_t num_shards) : num_shards_(num_shards) {
   if (num_shards == 1) {
     return;
   }
+  spin_ = num_shards <= AvailableCpus();
   for (size_t i = 0; i < num_shards; ++i) {
-    shards_[i]->outbox.resize(num_shards);
+    shards_[i]->outbox[0].resize(num_shards);
+    shards_[i]->outbox[1].resize(num_shards);
+  }
+  for (size_t i = 1; i < num_shards; ++i) {
     shards_[i]->thread = std::thread(&Simulator::WorkerMain, this, i);
   }
   // Wait until every worker has published its thread-local sink pointers, so folds and
   // flag propagation never read a null Shard::tracer.
   MutexLock lock(&mu_);
-  while (workers_ready_ != num_shards) {
+  while (workers_ready_ != num_shards - 1) {
     cv_done_.Wait(mu_);
   }
 }
@@ -75,13 +89,11 @@ Simulator::Simulator(size_t num_shards) : num_shards_(num_shards) {
 Simulator::~Simulator() {
   SyncCancelledCounter();
   if (num_shards_ > 1) {
-    {
-      MutexLock lock(&mu_);
-      stopping_ = true;
-    }
-    cv_workers_.NotifyAll();
-    for (auto& shard : shards_) {
-      shard->thread.join();
+    stopping_ = true;
+    window_gen_.fetch_add(1, std::memory_order_release);
+    Wake(cv_workers_);
+    for (size_t i = 1; i < num_shards_; ++i) {
+      shards_[i]->thread.join();
     }
   }
   if (GlobalTracer().clock_source() == &now_) {
@@ -106,6 +118,13 @@ SimTime Simulator::ThreadNow() const {
 
 Simulator::ExecContext& Simulator::Ctx() {
   return OnWorker() ? shards_[tls_worker.shard]->ctx : exec_;
+}
+
+Simulator::Shard* Simulator::WindowShard() {
+  if (OnWorker()) {
+    return shards_[tls_worker.shard].get();
+  }
+  return coordinator_in_window_ ? shards_[0].get() : nullptr;
 }
 
 uint64_t Simulator::NextHostKey(HostId origin) {
@@ -172,38 +191,41 @@ EventHandle Simulator::ScheduleAt(SimTime at, EventFn fn) {
   return control_.Push(at, NextControlKey(), kControlExec, std::move(fn));
 }
 
-EventHandle Simulator::ScheduleMessageArrival(HostId src, HostId dst, SimTime at,
-                                              EventFn fn) {
+void Simulator::ScheduleMessageArrival(HostId src, HostId dst, SimTime at, EventFn&& fn) {
   CHECK_LT(dst, ops_.size());
   const uint64_t key = NextHostKey(src);
   if (num_shards_ == 1) {
-    return shards_[0]->queue.Push(at, key, dst, std::move(fn));
+    shards_[0]->queue.Post(at, key, dst, std::move(fn));
+    return;
   }
   SealPartition();
   const size_t dst_shard = shard_of_[dst];
-  if (!OnWorker() || dst_shard == tls_worker.shard) {
-    // Same shard, or the calling thread with every worker parked (control events and
-    // plain driver code): push directly.
-    return shards_[dst_shard]->queue.Push(at, key, dst, std::move(fn));
+  Shard* from = WindowShard();
+  if (from == nullptr || from == shards_[dst_shard].get()) {
+    // Same shard, or the coordinator between windows with every worker waiting
+    // (control events and plain driver code): push directly.
+    shards_[dst_shard]->queue.Post(at, key, dst, std::move(fn));
+    return;
   }
-  // Cross-shard from a worker: the src's counter is only safe because the send runs in
-  // src's execution context, and the arrival can't land inside the open window because
-  // propagation >= lookahead. The barrier drains it before the next window opens.
-  Shard& shard = *shards_[tls_worker.shard];
-  CHECK_EQ(shard.ctx.host, src);
-  CHECK_GE(at, shard.window_end);
-  shard.outbox[dst_shard].push_back(PendingCrossShard{at, key, dst, std::move(fn)});
-  return EventHandle();
+  // Cross-shard inside a window: the src's counter is only safe because the send runs
+  // in src's execution context, and the arrival can't land inside the open window
+  // because propagation >= lookahead. The destination takes it when the next window
+  // opens.
+  CHECK_EQ(Ctx().host, src);
+  CHECK_GE(at, from->window_end);
+  from->outbox[from->window_gen & 1][dst_shard].emplace_back(at, key, dst, std::move(fn));
+  from->sent_min = std::min(from->sent_min, at);
+  ++from->cross_shard_sent;
 }
 
 void Simulator::RunAsHost(HostId host, const std::function<void()>& fn) {
   SealPartition();
   CHECK_LT(host, ops_.size());
   ExecContext& ctx = Ctx();
-  // A worker may only assume hosts of its own shard, where single-threaded shard
-  // execution makes the identity swap safe (node methods self-wrap, so calls from
-  // inside a host event re-enter here).
-  CHECK(!OnWorker() || ShardIndex(host) == ctx.shard);
+  // A window's thread may only assume hosts of its own shard, where single-threaded
+  // shard execution makes the identity swap safe (node methods self-wrap, so calls
+  // from inside a host event re-enter here).
+  CHECK(WindowShard() == nullptr || ShardIndex(host) == ctx.shard);
   const ExecContext saved = ctx;
   ctx = ExecContext{host, static_cast<uint32_t>(ShardIndex(host))};
   Tracer& tracer = GlobalTracer();
@@ -235,10 +257,10 @@ size_t Simulator::RunLoop(size_t max_events, SimTime end_exclusive) {
     // Zero lookahead would let a window-open shard receive a same-window arrival,
     // violating the conservative bound. Call SetLookaheadMs (min link latency) first.
     CHECK_GT(lookahead_ms_, 0.0);
-    // Propagate observability switches to the parked workers' thread-local sinks.
-    for (auto& shard : shards_) {
-      shard->tracer->SetEnabled(GlobalTracer().enabled());
-      shard->profiler->SetEnabled(GlobalProfiler().enabled());
+    // Propagate observability switches to the waiting workers' thread-local sinks.
+    for (size_t i = 1; i < num_shards_; ++i) {
+      shards_[i]->tracer->SetEnabled(GlobalTracer().enabled());
+      shards_[i]->profiler->SetEnabled(GlobalProfiler().enabled());
     }
   }
   // Closes after events_fired_ is folded below, so the scope's event delta is exact.
@@ -247,13 +269,15 @@ size_t Simulator::RunLoop(size_t max_events, SimTime end_exclusive) {
   const double wall_start = WallClockSeconds();
   size_t fired_total = 0;
   while (fired_total < max_events) {
-    DrainOutboxes();
+    // The earliest pending event: queue fronts, plus the arrivals the last window left
+    // in outboxes, as each sender reported.
     SimTime t_first = kNever;
     SimTime t = 0.0;
     for (auto& shard : shards_) {
       if (shard->queue.PeekTime(&t)) {
         t_first = std::min(t_first, t);
       }
+      t_first = std::min(t_first, shard->sent_min);
     }
     const SimTime control_next = control_.PeekTime(&t) ? t : kNever;
     t_first = std::min(t_first, control_next);
@@ -269,18 +293,14 @@ size_t Simulator::RunLoop(size_t max_events, SimTime end_exclusive) {
     now_ = t_first;
     size_t fired = 0;
     if (control_next == t_first) {
-      // Control-before-host at equal times, with every worker parked: control events
+      // Control-before-host at equal times, with every worker waiting: control events
       // may touch any shard's state (churn scripts, engine rounds) race-free.
       fired = RunControlAt(t_first, budget);
     } else if (num_shards_ == 1) {
-      Shard& shard = *shards_[0];
-      Tracer& tracer = GlobalTracer();
-      tracer.SwapScopeAndSpans(&shard.scope, &shard.spans);
-      RunWindow(shard, exec_, &now_, tracer, std::min(control_next, end_exclusive), budget);
-      tracer.SwapScopeAndSpans(&shard.scope, &shard.spans);
-      fired = shard.window_fired;
+      RunShardZero(std::min(control_next, end_exclusive), budget);
+      fired = shards_[0]->window_fired;
     } else {
-      fired = RunWorkerWindows(std::min({t_first + lookahead_ms_, control_next, end_exclusive}));
+      fired = RunWindows(std::min({t_first + lookahead_ms_, control_next, end_exclusive}));
     }
     fired_total += fired;
     if (sample_every_ != 0) {
@@ -335,20 +355,41 @@ void Simulator::RunWindow(Shard& shard, ExecContext& ctx, SimTime* now, Tracer& 
   shard.window_last_at = at;
 }
 
-size_t Simulator::RunWorkerWindows(SimTime end) {
-  {
-    MutexLock lock(&mu_);
-    window_end_ = end;
-    workers_running_ = shards_.size();
-    ++window_gen_;
-  }
-  cv_workers_.NotifyAll();
-  {
-    MutexLock lock(&mu_);
-    while (workers_running_ != 0) {
-      cv_done_.Wait(mu_);
+void Simulator::RunShardZero(SimTime end, size_t budget) {
+  Shard& shard = *shards_[0];
+  Tracer& tracer = GlobalTracer();
+  tracer.SwapScopeAndSpans(&shard.scope, &shard.spans);
+  RunWindow(shard, exec_, &now_, tracer, end, budget);
+  tracer.SwapScopeAndSpans(&shard.scope, &shard.spans);
+}
+
+void Simulator::OpenWindow(size_t index, uint64_t gen, SimTime end) {
+  Shard& shard = *shards_[index];
+  shard.window_end = end;
+  shard.window_gen = gen;
+  shard.sent_min = kNever;
+  for (auto& src : shards_) {
+    std::vector<PendingCrossShard>& inbox = src->outbox[(gen - 1) & 1][index];
+    for (PendingCrossShard& p : inbox) {
+      shard.queue.Post(p.at, p.key, p.exec_host, std::move(p.fn));
     }
+    inbox.clear();
   }
+}
+
+size_t Simulator::RunWindows(SimTime end) {
+  const double wall_start = WallClockSeconds();
+  const uint64_t gen = ++windows_;
+  window_end_ = end;
+  workers_running_.store(num_shards_ - 1, std::memory_order_relaxed);
+  window_gen_.store(gen, std::memory_order_release);
+  Wake(cv_workers_);
+  coordinator_in_window_ = true;
+  OpenWindow(0, gen, end);
+  RunShardZero(end, SIZE_MAX);
+  coordinator_in_window_ = false;
+  Await(cv_done_, [this] { return workers_running_.load(std::memory_order_acquire) == 0; });
+  window_wall_s_ += WallClockSeconds() - wall_start;
   size_t fired = 0;
   for (auto& shard : shards_) {
     fired += shard->window_fired;
@@ -377,41 +418,49 @@ void Simulator::WorkerMain(size_t shard_index) {
   cv_done_.NotifyAll();
   uint64_t seen_gen = 0;
   while (true) {
-    SimTime end = 0.0;
-    {
-      MutexLock lock(&mu_);
-      while (!stopping_ && window_gen_ == seen_gen) {
-        cv_workers_.Wait(mu_);
-      }
-      if (stopping_) {
-        return;
-      }
-      seen_gen = window_gen_;
-      // Copy the window bound out under the lock; the worker (and any conservative
-      // CHECK it hits mid-window) reads only its own copy from here on.
-      end = window_end_;
+    Await(cv_workers_,
+          [this, seen_gen] { return window_gen_.load(std::memory_order_acquire) != seen_gen; });
+    if (stopping_) {
+      return;
     }
-    shard.window_end = end;
-    RunWindow(shard, shard.ctx, &shard.now, *shard.tracer, end, SIZE_MAX);
-    {
-      MutexLock lock(&mu_);
-      --workers_running_;
-      if (workers_running_ == 0) {
-        cv_done_.NotifyOne();
-      }
+    const double wall_start = WallClockSeconds();
+    ++seen_gen;  // The coordinator opens one window at a time.
+    OpenWindow(shard_index, seen_gen, window_end_);
+    RunWindow(shard, shard.ctx, &shard.now, *shard.tracer, shard.window_end, SIZE_MAX);
+    shard.busy_s += WallClockSeconds() - wall_start;
+    if (workers_running_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      Wake(cv_done_);
     }
   }
 }
 
-void Simulator::DrainOutboxes() {
-  for (auto& src : shards_) {
-    for (size_t d = 0; d < src->outbox.size(); ++d) {
-      for (PendingCrossShard& p : src->outbox[d]) {
-        shards_[d]->queue.Push(p.at, p.key, p.exec_host, std::move(p.fn));
+template <typename Ready>
+void Simulator::Await(CondVar& cv, Ready ready) {
+  if (spin_) {
+    const double deadline = WallClockSeconds() + kSpinSeconds;
+    do {
+      for (int i = 0; i < 64; ++i) {
+        if (ready()) {
+          return;
+        }
+        CpuRelax();
       }
-      src->outbox[d].clear();
-    }
+    } while (WallClockSeconds() < deadline);
   }
+  MutexLock lock(&mu_);
+  if (!ready()) {
+    ++parks_;
+  }
+  while (!ready()) {
+    cv.Wait(mu_);
+  }
+}
+
+void Simulator::Wake(CondVar& cv) {
+  // The lock orders this wake after a waiter's last check under mu_, so a waiter that
+  // saw the old state is already inside Wait and gets the notification.
+  { MutexLock lock(&mu_); }
+  cv.NotifyAll();
 }
 
 void Simulator::FoldObservability() {
@@ -420,29 +469,26 @@ void Simulator::FoldObservability() {
   // sort is a strict order with nothing left to tie-break.
   std::vector<SpanRecord> all = std::move(shards_[0]->spans);
   shards_[0]->spans.clear();
-  for (auto& shard : shards_) {
-    if (shard->tracer != nullptr) {
-      std::vector<SpanRecord> spans = shard->tracer->TakeSpans();
-      all.insert(all.end(), std::make_move_iterator(spans.begin()),
-                 std::make_move_iterator(spans.end()));
-    }
+  for (size_t i = 1; i < num_shards_; ++i) {
+    std::vector<SpanRecord> spans = shards_[i]->tracer->TakeSpans();
+    all.insert(all.end(), std::make_move_iterator(spans.begin()),
+               std::make_move_iterator(spans.end()));
   }
   if (!all.empty()) {
     std::sort(all.begin(), all.end(),
               [](const SpanRecord& a, const SpanRecord& b) { return a.span_id < b.span_id; });
     GlobalTracer().AppendSpans(std::move(all));
   }
-  if (num_shards_ == 1) {
-    return;
-  }
+  // Shard 0 recorded its metrics and profile straight into this thread's sinks.
   MetricsRegistry& main_registry = GlobalMetrics();
   Profiler& main_profiler = GlobalProfiler();
-  for (auto& shard : shards_) {
-    main_registry.MergeFrom(*shard->metrics);
-    shard->metrics->ResetValues();
+  for (size_t i = 1; i < num_shards_; ++i) {
+    Shard& shard = *shards_[i];
+    main_registry.MergeFrom(*shard.metrics);
+    shard.metrics->ResetValues();
     if (main_profiler.enabled()) {
-      main_profiler.MergeFrom(*shard->profiler);
-      shard->profiler->Reset();
+      main_profiler.MergeFrom(*shard.profiler);
+      shard.profiler->Reset();
     }
   }
 }
@@ -467,8 +513,31 @@ size_t Simulator::PendingEvents() const {
   size_t total = control_.Size();
   for (const auto& shard : shards_) {
     total += shard->queue.Size();
+    for (const auto& parity : shard->outbox) {
+      for (const auto& to : parity) {
+        total += to.size();
+      }
+    }
   }
   return total;
+}
+
+Simulator::BarrierStats Simulator::barrier_stats() const {
+  BarrierStats stats;
+  if (num_shards_ == 1) {
+    return stats;
+  }
+  stats.windows = windows_;
+  stats.serial_s = run_wall_seconds_ - window_wall_s_;
+  for (const auto& shard : shards_) {
+    stats.cross_shard_messages += shard->cross_shard_sent;
+    stats.worker_busy_s += shard->busy_s;
+  }
+  stats.worker_wait_s =
+      static_cast<double>(num_shards_ - 1) * run_wall_seconds_ - stats.worker_busy_s;
+  MutexLock lock(&mu_);
+  stats.parks = parks_;
+  return stats;
 }
 
 void Simulator::ReserveEvents(size_t n) {

@@ -11,12 +11,13 @@
 // Engine. Hosts are split into K contiguous id ranges (shards); each shard owns an
 // EventQueue, and events scheduled from outside any host context (harness drivers,
 // engine rounds, churn scripts) form a separate control stream. K=1 runs everything
-// inline on the calling thread. K>1 gives each shard a worker thread and runs the
-// simulation as half-open windows [T, T+L), where the lookahead L is the minimum link
-// propagation latency: a message emitted inside a window arrives at or after T+L, so
-// the coordinator moves cross-shard arrivals into their destination queues at the
-// window barrier and no shard ever receives an event in its past (conservative,
-// null-message-free PDES).
+// inline on the calling thread. K>1 runs the simulation as half-open windows [T, T+L),
+// where the lookahead L is the minimum link propagation latency: the calling thread
+// (the coordinator) runs shard 0's window inline, as K=1 does, and K-1 worker threads
+// run the other shards'. A message emitted inside a window arrives at or after T+L, so
+// a cross-shard arrival waits in its sender's outbox and the destination moves it into
+// its own queue when the next window opens: no shard ever receives an event in its
+// past (conservative, null-message-free PDES).
 //
 // Determinism contract — a K-shard run is BIT-IDENTICAL to the 1-shard run:
 //  - Every event carries a canonical key (origin, per-origin sequence) packed into 64
@@ -24,13 +25,15 @@
 //    the keys it assigns are too; queues pop in strict (time, key) order.
 //  - Trace/span ids draw from the same per-host counters (Tracer::SetIdSource). Host
 //    events run with an empty trace-scope stack and a private span sink (a worker's
-//    tracer; at K=1 the calling thread's tracer with its stack and sink swapped out),
-//    and each run ends by appending those spans in span-id order. Worker metric
-//    registries fold by name (commutative sums).
-//  - Control events run on the calling thread with every worker parked, ahead of
-//    same-time host events. Setup code acting for a node (Subscribe, StartKeepAlive)
-//    wraps the call in RunAsHost(host, fn) so its schedules and ids join the host's
-//    stream; a message sent from plain driver code is keyed by the sender's counter.
+//    tracer; for shard 0 the calling thread's tracer with its stack and sink swapped
+//    out), and each run ends by appending those spans in span-id order. Shard 0
+//    records metrics into the calling thread's registry, and worker registries fold
+//    into it by name (commutative sums).
+//  - Control events run on the calling thread between windows, with every worker
+//    waiting, ahead of same-time host events. Setup code acting for a node (Subscribe,
+//    StartKeepAlive) wraps the call in RunAsHost(host, fn) so its schedules and ids
+//    join the host's stream; a message sent from plain driver code is keyed by the
+//    sender's counter.
 //
 // Supported at any K: fault scripts (FaultInjector derives one Rng per (src, dst,
 // send-sequence) from the sender's stream) and periodic sampling. K>1 CHECK-fails on
@@ -51,6 +54,7 @@
 #ifndef SRC_SIM_SIMULATOR_H_
 #define SRC_SIM_SIMULATOR_H_
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -78,9 +82,9 @@ class Simulator {
 
   // Registers this simulator's clock as the thread-wide virtual-time source for the
   // tracer, the logger and the profiler; the destructor deregisters it (only if still
-  // the active source, so nested/successive simulators behave sanely). K>1 starts one
-  // worker thread per shard; K=1 starts none. CHECK-fails unless
-  // 1 <= num_shards <= kMaxShards.
+  // the active source, so nested/successive simulators behave sanely). K>1 starts K-1
+  // worker threads, one per shard but shard 0, which the calling thread runs; K=1
+  // starts none. CHECK-fails unless 1 <= num_shards <= kMaxShards.
   explicit Simulator(size_t num_shards = 1);
   ~Simulator();
   Simulator(const Simulator&) = delete;
@@ -115,8 +119,9 @@ class Simulator {
   // wraps per-node setup calls (Subscribe, StartKeepAlive, ...) in this.
   void RunAsHost(HostId host, const std::function<void()>& fn);
   // Schedules a message-arrival event that executes as `dst` (possibly on another
-  // shard), keyed by `src`'s canonical sequence.
-  EventHandle ScheduleMessageArrival(HostId src, HostId dst, SimTime at, EventFn fn);
+  // shard), keyed by `src`'s canonical sequence. Arrivals are never cancelled, so no
+  // handle is made.
+  void ScheduleMessageArrival(HostId src, HostId dst, SimTime at, EventFn&& fn);
   // Host-registration hook (Network::AddHost calls it). K>1 freezes the host -> shard
   // partition at the first run and CHECK-fails on later hosts.
   void OnHostAdded(HostId id);
@@ -144,11 +149,31 @@ class Simulator {
   // 0 disables. Opting in makes the metrics registry wall-clock dependent — scale
   // benches that fingerprint metrics must exclude the gauge from their probe. K=1
   // samples exactly every N events; K>1 samples at window barriers with every worker
-  // parked, so its sample COUNT depends on K (the event stream does not).
+  // waiting, so its sample COUNT depends on K (the event stream does not).
   void EnablePeriodicSampling(uint64_t every_events) { sample_every_ = every_events; }
   uint64_t sample_every() const { return sample_every_; }
   // Rate over the most recent completed sampling window (0 before the first sample).
   double live_events_per_sec() const { return live_events_per_sec_; }
+
+  // --- K>1 barrier accounting ---
+  // A thread waiting at the barrier polls for up to kSpinSeconds of wall time, then
+  // parks on a condvar. It spins only when the K threads have a CPU each.
+  static constexpr double kSpinSeconds = 200e-6;
+  // Totals over every run so far; all zero at K=1. They depend on K, so they never
+  // enter the metrics registry, whose exports are the same at every K.
+  struct BarrierStats {
+    uint64_t windows = 0;               // Windows run.
+    uint64_t cross_shard_messages = 0;  // Arrivals sent through an outbox.
+    uint64_t parks = 0;  // Waits, by any thread, that outlasted the spin and parked.
+    // Coordinator wall with no window open: control events and barrier bookkeeping.
+    double serial_s = 0.0;
+    // Summed over the K-1 workers: inbox moves and window runs, and the rest of the
+    // run-loop wall, spent waiting.
+    double worker_busy_s = 0.0;
+    double worker_wait_s = 0.0;
+  };
+  // Call between runs, from the thread that runs them.
+  BarrierStats barrier_stats() const;
 
  private:
   static constexpr uint32_t kControlExec = UINT32_MAX;
@@ -162,6 +187,8 @@ class Simulator {
   };
 
   struct PendingCrossShard {
+    PendingCrossShard(SimTime time, uint64_t event_key, uint32_t host, EventFn&& event)
+        : at(time), key(event_key), exec_host(host), fn(std::move(event)) {}
     SimTime at;
     uint64_t key;
     uint32_t exec_host;
@@ -170,24 +197,31 @@ class Simulator {
 
   struct Shard {
     EventQueue queue;
-    // K>1 only: the worker's clock and execution identity.
+    // K>1 workers only: the worker's clock and execution identity (shard 0 runs on the
+    // coordinator with now_ and exec_, as at K=1).
     SimTime now = 0.0;
     ExecContext ctx{kControlExec, 0};
-    // Worker-owned copy of the current window's exclusive end, taken from window_end_
-    // under mu_ before the window opens; lets worker-side conservative-bound CHECKs
-    // read it without touching the guarded coordinator field mid-window.
+    // The open window's exclusive end and generation, copied in when the window opens,
+    // so conservative-bound CHECKs read shard-owned state.
     SimTime window_end = 0.0;
+    uint64_t window_gen = 0;
     uint64_t window_fired = 0;     // Events run in the most recent window.
     SimTime window_last_at = 0.0;  // Fire time of the last event in that window.
-    // One outbox per destination shard; drained by the coordinator at barriers.
-    std::vector<std::vector<PendingCrossShard>> outbox;
-    // The worker thread's thread-local observability sinks, published at thread start
-    // and only touched cross-thread while the worker is parked.
+    // Cross-shard arrivals sent in window g sit in outbox[g & 1][destination]; each
+    // destination moves its entries into its queue when window g+1 opens, while the
+    // senders fill the other parity. sent_min is the earliest arrival sent in the most
+    // recent window, which the coordinator folds into the next window's start.
+    std::vector<std::vector<PendingCrossShard>> outbox[2];
+    SimTime sent_min = kNever;
+    uint64_t cross_shard_sent = 0;
+    double busy_s = 0.0;  // Workers: wall from each release to its completion.
+    // A worker thread's thread-local observability sinks, published at thread start
+    // and only touched cross-thread between windows. Null for shard 0.
     Tracer* tracer = nullptr;
     MetricsRegistry* metrics = nullptr;
     Profiler* profiler = nullptr;
     std::thread thread;
-    // K=1 only: the host events' trace-scope stack and span sink, swapped into the
+    // Shard 0 only: the host events' trace-scope stack and span sink, swapped into the
     // calling thread's tracer for the duration of each window.
     std::vector<TraceContext> scope;
     std::vector<SpanRecord> spans;
@@ -203,6 +237,9 @@ class Simulator {
   // coordinator's exec_ everywhere else (always exec_ at K=1, with no thread-local).
   ExecContext& Ctx();
   bool OnWorker() const;
+  // K>1: the shard whose window the calling thread is running (a worker's own, or
+  // shard 0 on the coordinator), or null outside windows.
+  Shard* WindowShard();
   size_t ShardIndex(HostId host) const { return num_shards_ == 1 ? 0 : shard_of_[host]; }
 
   // Canonical key allocation: (origin + 2) << kKeyOriginShift | per-origin sequence.
@@ -218,19 +255,28 @@ class Simulator {
   void SealPartition();
   // The loop shared by Run/RunUntil: executes every event with at < end_exclusive.
   size_t RunLoop(size_t max_events, SimTime end_exclusive);
-  // Runs up to `budget` control events due at exactly `at` (workers parked).
+  // Runs up to `budget` control events due at exactly `at` (workers waiting).
   size_t RunControlAt(SimTime at, size_t budget);
   // Runs up to `budget` of `shard`'s events with at < end as `ctx`, advancing `*now`
   // and installing each event's host as `tracer`'s id source.
   void RunWindow(Shard& shard, ExecContext& ctx, SimTime* now, Tracer& tracer,
                  SimTime end, size_t budget);
-  // One K>1 window: releases every worker to run [now_, end) and waits at the barrier.
-  size_t RunWorkerWindows(SimTime end);
+  // Runs shard 0's events with at < end on the calling thread, as `exec_` on `now_`,
+  // with the host events' own trace-scope stack and span sink swapped in.
+  void RunShardZero(SimTime end, size_t budget);
+  // One K>1 window [now_, end): releases the workers, runs shard 0, waits for the rest.
+  size_t RunWindows(SimTime end);
+  // Opens window `gen` on shard `index`: moves the arrivals other shards sent it in
+  // window gen-1 into its queue and starts the other outbox parity.
+  void OpenWindow(size_t index, uint64_t gen, SimTime end);
   void WorkerMain(size_t shard_index);
-  // Moves every outbox entry into its destination shard's queue (workers parked).
-  void DrainOutboxes();
+  // Returns once `ready()` holds. Polls it for up to kSpinSeconds when spin_, then
+  // parks on `cv`; whoever makes it true calls Wake(cv) after.
+  template <typename Ready>
+  void Await(CondVar& cv, Ready ready) TOTORO_EXCLUDES(mu_);
+  void Wake(CondVar& cv) TOTORO_EXCLUDES(mu_);
   // Appends host-event spans in span-id order and folds worker metrics and profiles
-  // into the calling thread's sinks (workers parked).
+  // into the calling thread's sinks (workers waiting).
   void FoldObservability();
   // Folds queue-side cancellations observed since the last sync into the counter.
   void SyncCancelledCounter();
@@ -269,17 +315,25 @@ class Simulator {
   double live_events_per_sec_ = 0.0;
   Gauge* throughput_gauge_ = nullptr;  // Lazily cached by ThroughputGauge().
 
-  // K>1 window barrier. The coordinator publishes window_end_ and a generation bump
-  // under mu_; workers copy window_end_ out under mu_, run their window lock-free on
-  // shard-owned state, and report back under mu_.
-  Mutex mu_;
+  // K>1 window barrier. The coordinator writes window_end_ and stopping_, then opens a
+  // window by bumping window_gen_ (release); a worker acquires the new generation,
+  // runs its window on shard-owned state and counts itself out of workers_running_
+  // (acq_rel), and the coordinator acquires the count reaching zero. A waiting thread
+  // polls for up to kSpinSeconds, then parks on its condvar under mu_. It spins only
+  // when the K threads have a CPU each (spin_), so an oversubscribed run parks at once.
+  bool spin_ = false;
+  bool coordinator_in_window_ = false;  // Coordinator-only: shard 0's window is open.
+  std::atomic<uint64_t> window_gen_{0};
+  std::atomic<size_t> workers_running_{0};
+  SimTime window_end_ = 0.0;
+  bool stopping_ = false;
+  mutable Mutex mu_;
   CondVar cv_workers_;
   CondVar cv_done_;
-  uint64_t window_gen_ TOTORO_GUARDED_BY(mu_) = 0;
   size_t workers_ready_ TOTORO_GUARDED_BY(mu_) = 0;  // Startup: sink pointers published.
-  size_t workers_running_ TOTORO_GUARDED_BY(mu_) = 0;
-  SimTime window_end_ TOTORO_GUARDED_BY(mu_) = 0.0;
-  bool stopping_ TOTORO_GUARDED_BY(mu_) = false;
+  uint64_t parks_ TOTORO_GUARDED_BY(mu_) = 0;
+  uint64_t windows_ = 0;
+  double window_wall_s_ = 0.0;  // Coordinator wall from each release to its barrier.
 };
 
 // Builds the simulator selected by TOTORO_SIM_SHARDS (unset = 1): Simulator(K). The

@@ -137,5 +137,12 @@ TEST(OracleBuildTest, ForcedWorkerCountsMatchGolden) {
   }
 }
 
+// From 30 chunks of 1024 nodes up, the workers install a head of chunks alone while
+// the caller runs its count-only pass, so the caller owns fewer chunks than a worker.
+TEST(OracleBuildTest, CallerHeadStartMatchesInlineBuild) {
+  constexpr size_t kNodes = 31 * 1024;
+  EXPECT_EQ(BuildAndHash(kNodes, 7, 4, 3), BuildAndHash(kNodes, 7, 4, 1));
+}
+
 }  // namespace
 }  // namespace totoro

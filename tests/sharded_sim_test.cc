@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <sched.h>
+
+#include <chrono>
 #include <cstdlib>
 #include <fstream>
 #include <memory>
@@ -100,16 +103,18 @@ struct ScenarioResult {
   uint64_t events = 0;
   std::string metrics_json;
   std::string trace_json;
+  Simulator::BarrierStats barrier;
 };
 
 // Runs the ping-pong scenario (16 hosts, all-to-all-ish pings, one mid-run churn event
 // through the control stream) on a FRESH thread so every run gets pristine
 // thread-local tracer/metrics sinks. With `driver_sends` the first pings go out from
-// plain driver code, outside Run and RunAsHost, as TotoroEngine::StartAll's do.
-ScenarioResult RunPingScenario(size_t shards, bool model_bandwidth,
-                               bool driver_sends = false) {
+// plain driver code, outside Run and RunAsHost, as TotoroEngine::StartAll's do. Each
+// churn event first sleeps `control_wall` of wall time, which changes no result.
+ScenarioResult RunPingScenario(size_t shards, bool model_bandwidth, bool driver_sends = false,
+                               std::chrono::microseconds control_wall = {}) {
   ScenarioResult out;
-  std::thread runner([&out, shards, model_bandwidth, driver_sends] {
+  std::thread runner([&out, shards, model_bandwidth, driver_sends, control_wall] {
     GlobalTracer().SetEnabled(true);
     ShardedSimulator sim(shards);
     NetworkConfig cfg;
@@ -137,15 +142,22 @@ ScenarioResult RunPingScenario(size_t shards, bool model_bandwidth,
       }
     }
     // Mid-run churn through the control stream: host 3 dies, later heals. Control runs
-    // at window boundaries with every worker parked, so the flip is race-free and
+    // at window boundaries with every worker waiting, so the flip is race-free and
     // lands at the same virtual instant for every K.
-    sim.Schedule(60.0, [&net] { net.SetHostUp(3, false); });
-    sim.Schedule(180.0, [&net] { net.SetHostUp(3, true); });
+    sim.Schedule(60.0, [&net, control_wall] {
+      std::this_thread::sleep_for(control_wall);
+      net.SetHostUp(3, false);
+    });
+    sim.Schedule(180.0, [&net, control_wall] {
+      std::this_thread::sleep_for(control_wall);
+      net.SetHostUp(3, true);
+    });
     sim.RunUntil(400.0);
     for (const PingHost& h : hosts) {
       out.received.push_back(h.received);
     }
     out.events = sim.events_fired();
+    out.barrier = sim.barrier_stats();
     net.metrics().PublishTo(GlobalMetrics());
     out.metrics_json = MetricsToJson(GlobalMetrics());
     out.trace_json = TraceToChromeJson(GlobalTracer());
@@ -191,6 +203,126 @@ TEST(ShardedSimulator, DriverCodeSendsBitIdenticalAcrossShardCounts) {
     EXPECT_EQ(run.events, base.events) << "K=" << k;
     EXPECT_EQ(run.metrics_json, base.metrics_json) << "K=" << k;
     EXPECT_EQ(run.trace_json, base.trace_json) << "K=" << k;
+  }
+}
+
+TEST(ShardedSimulator, ArrivalsWaitingInAnOutboxCountAsPending) {
+  // Host 0 (shard 0) sends to host 1 (shard 1) at t=1; the run stops at t=1.5 with the
+  // arrival still in shard 0's outbox, which the next window hands to shard 1.
+  ShardedSimulator sim(2);
+  Network net(&sim, std::make_unique<ConstantLatency>(2.0), NetworkConfig{});
+  PingHost a;
+  PingHost b;
+  a.net = b.net = &net;
+  a.id = net.AddHost(&a);
+  b.id = net.AddHost(&b);
+  sim.SetLookaheadMs(2.0);
+  sim.RunAsHost(0, [&] {
+    sim.Schedule(1.0, [&net] {
+      Message m;
+      m.src = 0;
+      m.dst = 1;
+      m.hops = 6;  // PingHost does not answer.
+      net.Send(m);
+    });
+  });
+  sim.RunUntil(1.5);
+  EXPECT_EQ(sim.barrier_stats().cross_shard_messages, 1u);
+  EXPECT_EQ(sim.PendingEvents(), 1u);
+  EXPECT_FALSE(sim.Idle());
+  EXPECT_EQ(b.received, 0);
+  EXPECT_EQ(sim.Run(), 1u);
+  EXPECT_EQ(b.received, 1);
+  EXPECT_TRUE(sim.Idle());
+}
+
+TEST(ShardedSimulator, OneCpuRunsMatchOneShard) {
+  // Pinned to one CPU, every simulator thread shares it: nothing spins, each wait
+  // parks, and the coordinator's shard 0 interleaves with the workers' windows.
+  const ScenarioResult base = RunPingScenario(1, /*model_bandwidth=*/true);
+  cpu_set_t original;
+  CPU_ZERO(&original);
+  ASSERT_EQ(sched_getaffinity(0, sizeof(original), &original), 0);
+  int first = 0;
+  while (!CPU_ISSET(first, &original)) {
+    ++first;
+  }
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(first, &one);
+  ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
+  for (const size_t k : {size_t{2}, size_t{4}, size_t{8}}) {
+    const ScenarioResult run = RunPingScenario(k, /*model_bandwidth=*/true);
+    EXPECT_EQ(run.received, base.received) << "K=" << k;
+    EXPECT_EQ(run.events, base.events) << "K=" << k;
+    EXPECT_EQ(run.metrics_json, base.metrics_json) << "K=" << k;
+    EXPECT_EQ(run.trace_json, base.trace_json) << "K=" << k;
+    EXPECT_GE(run.barrier.parks, run.barrier.windows) << "K=" << k;
+  }
+  ASSERT_EQ(sched_setaffinity(0, sizeof(original), &original), 0);
+}
+
+TEST(ShardedSimulator, WorkersParkedByLongControlEventsMatchOneShard) {
+  // Each churn event holds the coordinator for 50 spin budgets, so the waiting worker
+  // stops polling and parks mid-run, and the next window has to wake it.
+  const auto wall = std::chrono::microseconds(static_cast<int64_t>(50e6 * Simulator::kSpinSeconds));
+  const ScenarioResult base = RunPingScenario(1, /*model_bandwidth=*/true);
+  const ScenarioResult run =
+      RunPingScenario(2, /*model_bandwidth=*/true, /*driver_sends=*/false, wall);
+  EXPECT_EQ(run.received, base.received);
+  EXPECT_EQ(run.events, base.events);
+  EXPECT_EQ(run.metrics_json, base.metrics_json);
+  EXPECT_EQ(run.trace_json, base.trace_json);
+  EXPECT_GE(run.barrier.parks, 2u) << "one park per long control event at least";
+}
+
+TEST(ShardedSimulator, BarrierStatsCountWindowsAndCrossShardPings) {
+  // Every host pings every other host once from its own event at t=1, so each send
+  // runs inside a window. K=2 puts hosts 0-7 on shard 0 and 8-15 on shard 1, so
+  // 2 * 8 * 8 of the 16 * 15 pings cross shards.
+  constexpr size_t kHosts = 16;
+  for (const size_t k : {size_t{1}, size_t{2}}) {
+    Simulator::BarrierStats stats;
+    uint64_t events = 0;
+    std::thread runner([&stats, &events, k] {
+      Simulator sim(k);
+      NetworkConfig cfg;
+      cfg.model_bandwidth = false;  // One arrival event per ping, no NIC backlog.
+      Network net(&sim, std::make_unique<ConstantLatency>(2.0), cfg);
+      std::vector<PingHost> hosts(kHosts);
+      for (PingHost& h : hosts) {
+        h.net = &net;
+        h.id = net.AddHost(&h);
+      }
+      sim.SetLookaheadMs(net.latency_model().MinLatencyMs());
+      for (HostId src = 0; src < kHosts; ++src) {
+        sim.RunAsHost(src, [&sim, &net, src] {
+          sim.Schedule(1.0, [&net, src] {
+            for (HostId dst = 0; dst < kHosts; ++dst) {
+              if (dst != src) {
+                Message m;
+                m.src = src;
+                m.dst = dst;
+                m.hops = 6;  // PingHost does not answer.
+                net.Send(m);
+              }
+            }
+          });
+        });
+      }
+      sim.Run();
+      stats = sim.barrier_stats();
+      events = sim.events_fired();
+    });
+    runner.join();
+    EXPECT_EQ(events, kHosts + kHosts * (kHosts - 1)) << "K=" << k;
+    if (k == 1) {
+      EXPECT_EQ(stats.windows, 0u);
+      EXPECT_EQ(stats.cross_shard_messages, 0u);
+    } else {
+      EXPECT_GE(stats.windows, 2u);
+      EXPECT_EQ(stats.cross_shard_messages, 2u * 8u * 8u);
+    }
   }
 }
 
@@ -261,6 +393,14 @@ TEST(MakeSimulatorFromEnv, DefaultsToOneInlineShard) {
   std::unique_ptr<Simulator> sim = MakeSimulatorFromEnv();
   EXPECT_EQ(sim->num_shards(), 1u);
   EXPECT_EQ(ProcessThreadCount(), before) << "K=1 must not start a worker thread";
+}
+
+TEST(Simulator, FourShardsStartThreeWorkers) {
+  // The calling thread runs shard 0 itself.
+  const int before = ProcessThreadCount();
+  ASSERT_GT(before, 0);
+  Simulator sim(4);
+  EXPECT_EQ(ProcessThreadCount(), before + 3);
 }
 
 TEST(Simulator, OneShardRunsInlineWithoutThreads) {
