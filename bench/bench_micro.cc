@@ -1,14 +1,18 @@
 // Google-benchmark micro benchmarks of the hot primitives: simulator event-queue
-// operations, overlay routing decisions, SHA-1 id derivation, KL-UCB index computation,
-// MLP training steps, FedAvg merging.
+// operations, overlay routing decisions, a keep-alive round trip, SHA-1 id derivation,
+// KL-UCB index computation, MLP training steps, FedAvg merging.
 #include <benchmark/benchmark.h>
+
+#include <array>
 
 #include "bench/bench_util.h"
 #include "src/bandit/kl_ucb.h"
+#include "src/dht/pastry_network.h"
 #include "src/fl/aggregation.h"
 #include "src/ml/quantized.h"
 #include "src/ml/serialize.h"
 #include "src/sim/event_queue.h"
+#include "src/sim/latency_model.h"
 
 namespace totoro {
 namespace {
@@ -79,6 +83,76 @@ void BM_PopNextMove(benchmark::State& state) {
   benchmark::DoNotOptimize(sink);
 }
 BENCHMARK(BM_PopNextMove);
+
+// Pop plus push at 32k pending events with arrival-sized (72-byte) captures: the queue
+// depth of fl_churn's keep-alive tick burst, where every node's tick fires at the same
+// instant. Times are random, so each pop reads a slot far from the last one.
+void BM_PopDeepQueue(benchmark::State& state) {
+  constexpr int kDepth = 32768;
+  EventQueue q;
+  q.Reserve(kDepth + 1);
+  Rng rng(82);
+  uint64_t key = 0;
+  uint64_t sink = 0;
+  const auto arrival = [&sink](uint64_t tag) {
+    std::array<uint64_t, 8> message{};  // As large as a Message.
+    message[0] = tag;
+    return [&sink, message]() { sink += message[0]; };
+  };
+  static_assert(sizeof(arrival(0)) == EventFn::kInlineSize);
+  for (int i = 0; i < kDepth; ++i) {
+    ++key;
+    q.Post(rng.Uniform(0.0, 40.0), key, 0, arrival(key));
+  }
+  SimTime at = 0.0;
+  uint32_t exec_host = 0;
+  for (auto _ : state) {
+    EventFn fn;
+    q.PopNext(&at, &exec_host, &fn);
+    fn();
+    ++key;
+    q.Post(at + rng.Uniform(2.0, 40.0), key, 0, arrival(key));
+  }
+  benchmark::DoNotOptimize(sink);
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+}
+BENCHMARK(BM_PopDeepQueue);
+
+// One keep-alive round trip through a Simulator: node 0 heartbeats node 1, which learns
+// node 0 and acks, and node 0 learns node 1 from the ack. Both nodes hold keep-alive
+// state, as on fl_churn; the warm-up beats allocate it without starting their ticks.
+void BM_HeartbeatRoundTrip(benchmark::State& state) {
+  Simulator sim;
+  Network net(&sim, std::make_unique<ConstantLatency>(5.0));
+  PastryConfig config;
+  config.enable_keepalive = true;
+  PastryNetwork pastry(&net, config);
+  Rng rng(81);
+  for (int i = 0; i < 64; ++i) {
+    pastry.AddRandomNode(rng);
+  }
+  pastry.BuildOracle(rng);
+  PastryNode& a = pastry.node(0);
+  PastryNode& b = pastry.node(1);
+  const auto beat_from = [](const PastryNode& from) {
+    Message m;
+    m.type = kDhtHeartbeat;
+    m.size_bytes = 16;
+    m.traffic = TrafficClass::kDhtMaintenance;
+    m.SetPayload(RouteEntry{from.id(), from.host()});
+    return m;
+  };
+  const Message beat = beat_from(a);
+  b.SendDirect(a.host(), beat_from(b));
+  a.SendDirect(b.host(), beat);
+  sim.Run();
+  for (auto _ : state) {
+    a.SendDirect(b.host(), beat);
+    sim.Run();
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+}
+BENCHMARK(BM_HeartbeatRoundTrip);
 
 // Run() on an empty queue: the idle-check fast path engines hit between rounds.
 void BM_EmptyRun(benchmark::State& state) {

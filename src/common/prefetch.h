@@ -6,6 +6,9 @@
 #ifndef SRC_COMMON_PREFETCH_H_
 #define SRC_COMMON_PREFETCH_H_
 
+#include <cstddef>
+#include <cstdint>
+
 namespace totoro {
 
 inline void PrefetchRead(const void* addr) {
@@ -14,6 +17,14 @@ inline void PrefetchRead(const void* addr) {
 #else
   (void)addr;
 #endif
+}
+
+// Hints every cache line that [addr, addr + bytes) touches.
+inline void PrefetchReadRange(const void* addr, size_t bytes) {
+  const uintptr_t begin = reinterpret_cast<uintptr_t>(addr);
+  for (uintptr_t line = begin & ~uintptr_t{63}; line < begin + bytes; line += 64) {
+    PrefetchRead(reinterpret_cast<const void*>(line));
+  }
 }
 
 }  // namespace totoro

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <exception>
 #include <string>
+#include <utility>
 
 #include "src/common/check.h"
 #include "src/common/logging.h"
@@ -144,7 +145,8 @@ void TotoroEngine::ReplicateCheckpoint(AppRuntime& app) {
   // The master pushes (weights, round) to its nearest leaf-set neighbors so any of them
   // can seed a successor master.
   PastryNode& master = forest_->scribe(app.master_index).pastry();
-  const auto replicas = master.leaf_set().All();
+  // Read through a const view: a checkpoint changes no table.
+  const auto replicas = std::as_const(master).leaf_set().All();
   const uint64_t bytes = app.global_weights.size() * sizeof(float) + 64;
   int sent = 0;
   for (const auto& replica : replicas) {

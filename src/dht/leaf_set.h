@@ -60,11 +60,7 @@ class LeafSet {
   // side and Closest scans it all, so issue the lines up front and let the misses
   // overlap with whatever runs before the lookup.
   void Prefetch() const {
-    const char* data = reinterpret_cast<const char*>(entries_.data());
-    const size_t bytes = entries_.size() * sizeof(RouteEntry);
-    for (size_t off = 0; off < bytes; off += 64) {
-      PrefetchRead(data + off);
-    }
+    PrefetchReadRange(entries_.data(), entries_.size() * sizeof(RouteEntry));
   }
 
  private:

@@ -248,7 +248,7 @@ void PastryNode::HandleJoinState(const Message& msg) {
     // into their tables.
     auto announce_to = [&](const RouteEntry& e) {
       Message m = Maintenance(kDhtAnnounce, 32 + kRouteEntryWireBytes, Transport::kUdp);
-      m.SetPayload(SelfEntry());
+      m.payload = KeepAliveState().self_entry;
       SendDirect(e.host, std::move(m));
     };
     routing_table_.ForEach(announce_to);
@@ -263,6 +263,15 @@ void PastryNode::Learn(const RouteEntry& entry, RoutingTable::DenseRows* staged,
     return;
   }
   ChargeDhtWork(0.1);
+  KeepAlive* ka = staged == nullptr ? keepalive_.get() : nullptr;
+  if (ka != nullptr) {
+    const uint32_t size = std::min(ka->memo_count, kMemoSize);
+    for (uint32_t i = 0; i < size; ++i) {
+      if (ka->memo_hosts[i] == entry.host && ka->memo_ids[i] == entry.id) {
+        return;  // Changed nothing since the last table change, so it would not now.
+      }
+    }
+  }
   const double proximity_ms = ProximityTo(entry.host);
   int64_t delta = 0;
   if (staged != nullptr ? staged->Consider(entry, proximity_ms, proximity())
@@ -277,12 +286,17 @@ void PastryNode::Learn(const RouteEntry& entry, RoutingTable::DenseRows* staged,
   }
   if (delta != 0) {
     net_->metrics().AdjustStateBytes(host_, delta);
+    TablesChanged();
+  } else if (ka != nullptr) {
+    const uint32_t slot = ka->memo_count++ % kMemoSize;
+    ka->memo_hosts[slot] = entry.host;
+    ka->memo_ids[slot] = entry.id;
   }
 }
 
 PastryNode::KeepAlive& PastryNode::KeepAliveState() {
   if (keepalive_ == nullptr) {
-    keepalive_ = std::make_unique<KeepAlive>();
+    keepalive_ = std::make_unique<KeepAlive>(SelfEntry());
   }
   return *keepalive_;
 }
@@ -354,6 +368,7 @@ void PastryNode::ReportDead(const NodeId& id, HostId host) {
   }
   if (delta != 0) {
     net_->metrics().AdjustStateBytes(host_, delta);
+    TablesChanged();
   }
   if (keepalive_ != nullptr) {
     std::erase_if(keepalive_->acks, [host](const auto& ack) { return ack.first == host; });
@@ -426,7 +441,7 @@ void PastryNode::CheckKeepAliveDeadlines(const std::vector<RouteEntry>& members)
 
 void PastryNode::SendBeat(int type, HostId dst) {
   Message m = Maintenance(type, 16, Transport::kUdp);
-  m.SetPayload(SelfEntry());
+  m.payload = KeepAliveState().self_entry;
   SendDirect(dst, std::move(m));
 }
 

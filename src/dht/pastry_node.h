@@ -14,6 +14,7 @@
 #ifndef SRC_DHT_PASTRY_NODE_H_
 #define SRC_DHT_PASTRY_NODE_H_
 
+#include <array>
 #include <functional>
 #include <memory>
 #include <utility>
@@ -64,11 +65,23 @@ class PastryNode : public Host {
   bool alive() const { return net_->IsUp(host_); }
   Network* net() { return net_; }
 
-  RoutingTable& routing_table() { return routing_table_; }
+  // A caller may write through a non-const table reference, so taking one counts as a
+  // table change (it empties the Learn memo). Finish the writes before the next Learn.
+  RoutingTable& routing_table() {
+    TablesChanged();
+    return routing_table_;
+  }
   const RoutingTable& routing_table() const { return routing_table_; }
-  LeafSet& leaf_set() { return leaf_set_; }
+  LeafSet& leaf_set() {
+    TablesChanged();
+    return leaf_set_;
+  }
   const LeafSet& leaf_set() const { return leaf_set_; }
-  NeighborhoodSet& neighborhood_set() { return neighborhood_set_; }
+  NeighborhoodSet& neighborhood_set() {
+    TablesChanged();
+    return neighborhood_set_;
+  }
+  const NeighborhoodSet& neighborhood_set() const { return neighborhood_set_; }
   const PastryConfig& config() const { return config_; }
 
   // Registers a deliver/forward handler for inner messages of type `app_type`.
@@ -95,6 +108,8 @@ class PastryNode : public Host {
   // Adds a node to local state (oracle bootstrap or gossip). A bulk build passes
   // `staged`, which takes the routing-table offer in the table's place (see
   // RoutingTable::DenseRows), and `in_leaf_set` when LeafSet::AssignRing placed `entry`.
+  // A node with keep-alive state memoizes unstaged offers that changed nothing (see
+  // KeepAlive::memo_count).
   void Learn(const RouteEntry& entry, RoutingTable::DenseRows* staged = nullptr,
              bool in_leaf_set = false);
 
@@ -129,8 +144,13 @@ class PastryNode : public Host {
   void HandleHeartbeat(const Message& msg);
   void HandleHeartbeatAck(const Message& msg);
   void HandleLeafRepair(const Message& msg);
+  // Learn memo capacity (see KeepAlive::memo_count).
+  static constexpr uint32_t kMemoSize = 32;
   // Keep-alive and suspect state, allocated on first use; most overlays never need it.
   struct KeepAlive {
+    explicit KeepAlive(const RouteEntry& self)
+        : self_entry(std::make_shared<const RouteEntry>(self)) {}
+
     bool running = false;
     uint64_t ticks = 0;
     // Last ack time of each leaf-set member, in leaf_set_.All() order as of the last
@@ -143,8 +163,24 @@ class PastryNode : public Host {
     };
     std::vector<Suspect> suspects;
     size_t suspect_cursor = 0;
+    // The payload of every heartbeat, ack, suspect probe and announce: this node's entry.
+    std::shared_ptr<const RouteEntry> self_entry;
+    // Learn memo. Learn is a pure function of the three tables and the entry (latency
+    // is a pure function of the host pair), so an entry whose offer changed no table
+    // changes none again until a table does. The memo holds such entries: the k-th
+    // since the last table change sits in slot k % kMemoSize, so a full memo replaces
+    // its oldest entry. A table change empties it by zeroing the count.
+    uint32_t memo_count = 0;
+    std::array<HostId, kMemoSize> memo_hosts{};  // Scanned before the ids.
+    std::array<NodeId, kMemoSize> memo_ids{};
   };
   KeepAlive& KeepAliveState();
+  // Empties the Learn memo, as every change to the tables must.
+  void TablesChanged() {
+    if (keepalive_ != nullptr) {
+      keepalive_->memo_count = 0;
+    }
+  }
   void KeepAliveTick();
   // `members` is the tick's leaf-set snapshot, which KeepAlive::acks mirrors.
   void CheckKeepAliveDeadlines(const std::vector<RouteEntry>& members);

@@ -84,9 +84,7 @@ class RoutingTable {
   // it before the leaf-set scan so the two lookups' cache misses overlap.
   void PrefetchNextHop(const NodeId& key) const {
     if (const RouteEntry* entry = NextHopPtr(key); entry != nullptr) {
-      // A 24-byte entry can straddle two cache lines; hint both.
-      PrefetchRead(entry);
-      PrefetchRead(reinterpret_cast<const char*>(entry) + sizeof(*entry) - 1);
+      PrefetchReadRange(entry, sizeof(*entry));  // A 24-byte entry can straddle two lines.
     }
   }
 

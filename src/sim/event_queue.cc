@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "src/common/check.h"
+#include "src/common/prefetch.h"
 
 namespace totoro {
 
@@ -122,6 +123,11 @@ bool EventQueue::PopNext(SimTime* at, uint32_t* exec_host, EventFn* fn, SimTime 
   while (!heap_.empty() && heap_[0].at < end) {
     const HeapEntry top = heap_[0];
     RemoveTop();
+    // The next pop reads the new top's slot, most likely a cold line when many events
+    // pend; start loading it while this event runs.
+    if (!heap_.empty()) {
+      PrefetchReadRange(&slab_->slots[heap_[0].slot], sizeof(internal::EventSlot));
+    }
     internal::EventSlot& s = slab_->slots[top.slot];
     const bool cancelled = s.cancelled;
     if (!cancelled) {

@@ -62,11 +62,15 @@ namespace {
 
 // Builds `nodes` random ids the way perfbench's overlay_route does (links 2-40 ms, the
 // default PastryConfig) and returns the live bytes per node added from just before
-// Reserve to just after BuildOracle.
-double LiveBytesPerNode(size_t nodes, uint64_t seed) {
+// Reserve to just after BuildOracle. With `keepalive`, every node then starts
+// keep-alives and the count is taken one keep-alive interval later, with the first
+// tick's heartbeats in flight.
+double LiveBytesPerNode(size_t nodes, uint64_t seed, bool keepalive = false) {
   Simulator sim;
   Network net(&sim, std::make_unique<PairwiseUniformLatency>(2.0, 40.0, seed ^ 0xFEED));
-  PastryNetwork pastry(&net, PastryConfig{});
+  PastryConfig config;
+  config.enable_keepalive = keepalive;
+  PastryNetwork pastry(&net, config);
   Rng rng(seed);
   const int64_t before = g_live_bytes.load(std::memory_order_relaxed);
   pastry.Reserve(nodes);
@@ -74,11 +78,23 @@ double LiveBytesPerNode(size_t nodes, uint64_t seed) {
     pastry.AddRandomNode(rng);
   }
   pastry.BuildOracle(rng);
+  if (keepalive) {
+    for (size_t i = 0; i < nodes; ++i) {
+      pastry.node(i).StartKeepAlive();
+    }
+    sim.RunFor(config.keepalive_interval_ms);
+  }
   const int64_t grown = g_live_bytes.load(std::memory_order_relaxed) - before;
   const double per_node = static_cast<double>(grown) / static_cast<double>(nodes);
-  std::printf("n=%zu seed=%llu: %.0f live bytes per node\n", nodes,
-              static_cast<unsigned long long>(seed), per_node);
+  std::printf("n=%zu seed=%llu%s: %.0f live bytes per node\n", nodes,
+              static_cast<unsigned long long>(seed), keepalive ? " keep-alive" : "", per_node);
   return per_node;
+}
+
+// Keep-alive state lives in a block allocated on first use, so an overlay without
+// keep-alives pays for none of it in the node itself.
+TEST(DhtMemoryTest, PastryNodeStaysWithin288Bytes) {
+  EXPECT_LE(sizeof(PastryNode), 288u);
 }
 
 // Measured with 24-byte route entries, routing rows packed into one exact-size
@@ -92,6 +108,15 @@ TEST(DhtMemoryTest, Overlay1200NodesStaysInBudget) {
 
 TEST(DhtMemoryTest, Overlay20000NodesStaysInBudget) {
   EXPECT_LE(LiveBytesPerNode(20000, 101), 3000.0);
+}
+
+// The same overlay with keep-alives running: 7,319 bytes per node one interval in (the
+// budget sits 3% above). Each node's keep-alive block (ack times, the Learn memo, one
+// shared beat payload) takes ~1.2 KB. The rest is the event queue holding the first
+// tick's 28,800 heartbeats in flight: ~3.7 KB per node of slab slots and heap entries,
+// which the queue keeps for the next burst.
+TEST(DhtMemoryTest, KeepAliveOverlay1200NodesStaysInBudget) {
+  EXPECT_LE(LiveBytesPerNode(1200, 101, /*keepalive=*/true), 7540.0);
 }
 
 }  // namespace

@@ -364,6 +364,37 @@ TEST(PastryOverlayTest, ReportDeadRemovesFromAllState) {
   EXPECT_TRUE(failure_reported);
 }
 
+// A node with keep-alive state memoizes offers that changed nothing. ReportDead changes
+// the tables, so the memo must not answer for an entry it removed: offered again, the
+// entry goes back in and the node's state is as before. The tables are read through a
+// const view, which leaves the memo alone.
+TEST(PastryOverlayTest, LearnReinsertsMemoizedEntryAfterReportDead) {
+  PastryConfig config;
+  config.enable_keepalive = true;
+  Overlay overlay(100, config);
+  PastryNode& node = overlay.pastry->node(0);
+  const PastryNode& view = node;
+  node.StartKeepAlive();
+  const RouteEntry member = view.leaf_set().All()[0];
+  const std::vector<RouteEntry> leaves = view.leaf_set().All();
+  const size_t routing_entries = view.routing_table().NumEntries();
+  const int64_t state_bytes = overlay.net->metrics().work(node.host()).state_bytes;
+  node.Learn(member);  // Changes nothing, so the memo takes it.
+  node.Learn(member);  // Answered by the memo.
+  node.ReportDead(member.id, member.host);
+  ASSERT_FALSE(view.leaf_set().Contains(member.id));
+  node.Learn(member);
+  EXPECT_TRUE(view.leaf_set().Contains(member.id));
+  const std::vector<RouteEntry> relearned = view.leaf_set().All();
+  ASSERT_EQ(relearned.size(), leaves.size());
+  for (size_t i = 0; i < leaves.size(); ++i) {
+    EXPECT_EQ(relearned[i].id, leaves[i].id);
+    EXPECT_EQ(relearned[i].host, leaves[i].host);
+  }
+  EXPECT_EQ(view.routing_table().NumEntries(), routing_entries);
+  EXPECT_EQ(overlay.net->metrics().work(node.host()).state_bytes, state_bytes);
+}
+
 TEST(PastryOverlayTest, KeepAliveDetectsFailedLeafNeighbor) {
   PastryConfig config;
   config.enable_keepalive = true;

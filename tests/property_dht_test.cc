@@ -9,7 +9,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
+#include <iomanip>
 #include <optional>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "src/dht/pastry_network.h"
@@ -583,6 +587,142 @@ TEST_P(OverlayFaultSweepTest, RingRecoversRoutesCorrectlyAndReplaysBitIdenticall
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, OverlayFaultSweepTest, ::testing::Range<uint64_t>(150, 153));
+
+// ---------- Learn memo exactness: twin nodes ----------
+
+// One small overlay, nodes added but no tables built. Node 0 is the twin under test;
+// with `keepalive` it gets keep-alive state, which turns its Learn memo on. Small leaf
+// and neighborhood sets keep offers contending, so tables change often.
+struct TwinStack {
+  Simulator sim;
+  std::unique_ptr<Network> net;
+  std::unique_ptr<PastryNetwork> pastry;
+
+  TwinStack(bool keepalive, size_t n, uint64_t seed) {
+    NetworkConfig net_config;
+    net_config.model_bandwidth = false;
+    net = std::make_unique<Network>(
+        &sim, std::make_unique<PairwiseUniformLatency>(1.0, 20.0, seed), net_config);
+    PastryConfig config;
+    config.leaf_set_size = 8;
+    config.neighborhood_size = 4;
+    config.enable_keepalive = keepalive;
+    pastry = std::make_unique<PastryNetwork>(net.get(), config);
+    Rng rng(seed);
+    for (size_t i = 0; i < n; ++i) {
+      pastry->AddRandomNode(rng);
+    }
+    if (keepalive) {
+      pastry->node(0).StartKeepAlive();
+    }
+  }
+
+  PastryNode& twin() { return pastry->node(0); }
+};
+
+// Everything a Learn can change, rendered so two nodes compare as strings.
+std::string TwinState(const PastryNode& node, const Network& net) {
+  std::ostringstream out;
+  out << std::setprecision(17) << "leaf:";
+  const auto entry = [&out](const RouteEntry& e) { out << ' ' << e.id.ToHex() << '@' << e.host; };
+  for (const RouteEntry& e : node.leaf_set().All()) {
+    entry(e);
+  }
+  out << "\nrouting:";
+  node.routing_table().ForEach(entry);
+  out << "\nneighborhood:";
+  for (const NeighborhoodSet::Member& m : node.neighborhood_set().members()) {
+    entry(m.entry);
+    out << '/' << m.proximity_ms;
+  }
+  const HostWork& work = net.metrics().work(node.host());
+  out << "\ndht work " << work.work_units[static_cast<size_t>(WorkKind::kDhtTask)]
+      << ", state bytes " << work.state_bytes;
+  return out.str();
+}
+
+class TwinNodeMemoTest : public ::testing::TestWithParam<uint64_t> {};
+
+// The memo must be invisible: one seeded sequence of offers (known entries, new ones,
+// known hosts under new ids, leaf-repair batches), ReportDead calls (some between two
+// offers of the entry) and non-const table accesses, some of them writes, leaves both
+// twins with the same tables and accounting after every step.
+TEST_P(TwinNodeMemoTest, MemoizedNodeMatchesPlainNodeAfterEveryStep) {
+  const uint64_t seed = GetParam();
+  const size_t n = 48;
+  TwinStack memo(/*keepalive=*/true, n, seed);
+  TwinStack plain(/*keepalive=*/false, n, seed);
+  // Offers start from the overlay's real entries (not node 0's own).
+  std::vector<RouteEntry> pool;
+  for (size_t i = 1; i < n; ++i) {
+    const PastryNode& node = plain.pastry->node(i);
+    pool.push_back(RouteEntry{node.id(), node.host()});
+  }
+  Rng rng(seed + 1);
+  const auto known = [&] { return pool[rng.NextBelow(pool.size())]; };
+  const auto other_host = [&] { return static_cast<HostId>(1 + rng.NextBelow(n - 1)); };
+  for (int step = 0; step < 3000; ++step) {
+    const uint64_t op = rng.NextBelow(100);
+    std::function<void(PastryNode&)> action;
+    if (op < 45) {
+      const RouteEntry e = known();
+      action = [e](PastryNode& node) { node.Learn(e); };
+    } else if (op < 53) {
+      const RouteEntry e{RandomNodeId(rng), other_host()};  // A known host, a new id.
+      pool.push_back(e);
+      action = [e](PastryNode& node) { node.Learn(e); };
+    } else if (op < 58) {
+      const RouteEntry e{known().id, other_host()};  // A known id at another host.
+      pool.push_back(e);
+      action = [e](PastryNode& node) { node.Learn(e); };
+    } else if (op < 72) {
+      std::vector<RouteEntry> batch(1 + rng.NextBelow(9));
+      for (RouteEntry& e : batch) {
+        e = known();
+      }
+      action = [batch](PastryNode& node) {
+        for (const RouteEntry& e : batch) {
+          node.Learn(e);
+        }
+      };
+    } else if (op < 77) {
+      const RouteEntry e = known();
+      action = [e](PastryNode& node) { node.ReportDead(e.id, e.host); };
+    } else if (op < 82) {
+      // A suspect that answers: declared dead between two offers of the same entry.
+      const RouteEntry e = known();
+      action = [e](PastryNode& node) {
+        node.Learn(e);
+        node.ReportDead(e.id, e.host);
+        node.Learn(e);
+      };
+    } else if (op < 91) {
+      // A write through a non-const accessor, past Learn and ReportDead, between two
+      // offers of the entry it removes.
+      const RouteEntry e = known();
+      const uint64_t table = rng.NextBelow(3);
+      action = [e, table](PastryNode& node) {
+        node.Learn(e);
+        if (table == 0) {
+          node.routing_table().Remove(e.id);
+        } else if (table == 1) {
+          node.leaf_set().Remove(e.id);
+        } else {
+          node.neighborhood_set().Remove(e.id);
+        }
+        node.Learn(e);
+      };
+    } else {
+      action = [](PastryNode& node) { (void)node.leaf_set().NumEntries(); };
+    }
+    action(memo.twin());
+    action(plain.twin());
+    ASSERT_EQ(TwinState(memo.twin(), *memo.net), TwinState(plain.twin(), *plain.net))
+        << "seed " << seed << ", step " << step << ", op " << op;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, TwinNodeMemoTest, ::testing::Range<uint64_t>(170, 176));
 
 }  // namespace
 }  // namespace totoro
