@@ -5,11 +5,10 @@
 // number of apps grows (coordinator queueing); (2) Totoro's total training time is
 // nearly flat in the number of apps (the paper reports 15.41h for 1 model vs 15.47h for
 // 20 at fanout 32).
-#include <chrono>
-
 #include "bench/parallel_runner.h"
 #include "bench/tta_common.h"
 #include "src/obs/export.h"
+#include "src/obs/profiler.h"
 
 namespace totoro {
 namespace {
@@ -37,6 +36,7 @@ void PrintDeterminismProbe(BenchReport* report) {
 
 void RunFigure(const bench::TaskProfile& profile, const char* figure,
                const char* slug, BenchReport* report) {
+  ProfileScope profile_scope(slug);
   bench::PrintHeader(std::string(figure) + ": time-to-accuracy, " + profile.name);
   AsciiTable table({"#apps", "system", "last-app time-to-target (s)", "all reached"});
   std::vector<double> totoro_times;
@@ -122,20 +122,21 @@ void RunFigure(const bench::TaskProfile& profile, const char* figure,
 }  // namespace totoro
 
 int main() {
+  // Each figure is a profiler phase on this thread, whatever TOTORO_PROFILE says. Its
+  // trials run on the trial pool's threads, whose profilers stay separate.
+  totoro::Profiler& profiler = totoro::GlobalProfiler();
+  profiler.SetEnabled(true);
   // Everything in the report is virtual-time or a fingerprint, so every metric and
   // fingerprint in BENCH_fig8_fig9_tta.json is identical across thread counts (only
   // the bench_threads meta line records the difference) — benchdiff compares exactly.
   totoro::BenchReport report = totoro::bench::MakeReport("fig8_fig9_tta", 3000, "default");
   totoro::PrintDeterminismProbe(&report);
+  totoro::RunFigure(totoro::bench::SpeechProfile(), "Fig 8", "fig8", &report);
+  totoro::RunFigure(totoro::bench::FemnistProfile(), "Fig 9", "fig9", &report);
   // Wall-clock goes to stderr only: stdout must stay byte-identical across
   // TOTORO_COMPUTE_THREADS / TOTORO_BENCH_THREADS settings.
-  const auto t0 = std::chrono::steady_clock::now();
-  totoro::RunFigure(totoro::bench::SpeechProfile(), "Fig 8", "fig8", &report);
-  const auto t1 = std::chrono::steady_clock::now();
-  totoro::RunFigure(totoro::bench::FemnistProfile(), "Fig 9", "fig9", &report);
-  const auto t2 = std::chrono::steady_clock::now();
   std::fprintf(stderr, "wall-clock: fig8 %.2fs fig9 %.2fs\n",
-               std::chrono::duration<double>(t1 - t0).count(),
-               std::chrono::duration<double>(t2 - t1).count());
+               profiler.Find("fig8")->stats.wall_seconds,
+               profiler.Find("fig9")->stats.wall_seconds);
   return report.Write() ? 0 : 1;
 }

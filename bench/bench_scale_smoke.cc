@@ -15,19 +15,22 @@
 // Alongside the throughput it reports each phase's wall seconds (node add, BuildOracle,
 // forest build, handler install, event loop, teardown) and the resident-set growth per
 // node across the overlay build — metrics with tolerances, never fingerprints, printed
-// to stderr so stdout stays comparable between runs.
+// to stderr so stdout stays comparable between runs. The walls come from the profiler
+// tree, which this bench turns on whatever TOTORO_PROFILE says; the whole run is one
+// `scale_smoke` phase, and stderr also shows the wall none of its phases claims.
 //
 // Usage: bench_scale_smoke [nodes] [routes]   (defaults: 100000 nodes, 20000 routes)
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "src/common/check.h"
 #include "src/obs/export.h"
-#include "src/obs/metrics_registry.h"
 #include "src/obs/profiler.h"
 #include "src/sim/simulator.h"
 
@@ -35,6 +38,10 @@ namespace totoro {
 namespace {
 
 int Run(size_t nodes, size_t routes) {
+  Profiler& profiler = GlobalProfiler();
+  profiler.SetEnabled(true);
+  std::optional<ProfileScope> whole_run;  // Closed after teardown, before the readout.
+  whole_run.emplace("scale_smoke");
   std::unique_ptr<Simulator> sim = MakeSimulatorFromEnv();
   const size_t shards = sim->num_shards();
   std::printf("building %zu-node overlay (oracle construction, %zu shard%s)...\n", nodes,
@@ -44,32 +51,21 @@ int Run(size_t nodes, size_t routes) {
       /*latency_lo=*/2.0, /*latency_hi=*/40.0, std::move(sim));
   bench::Stack& stack = *owned_stack;
   stack.sim.ReserveEvents(1 << 16);
-  // Live throughput: update the events/sec gauge from inside the run (sliding window)
-  // instead of only as a final average. This makes the gauge wall-clock dependent, so
-  // the determinism fingerprint below hashes routing results, never the registry.
-  // The sharded engine samples at its window barriers, so there the sample count is
-  // window-granular; the event stream is the same either way.
-  stack.sim.EnablePeriodicSampling(8192);
-  // Per-host work hook for TOTORO_PROFILE runs: the periodic sampler drives this on
-  // the same deterministic trigger as the queue-depth series, so the profile shows
-  // how DHT work accumulates across the run.
-  GlobalProfiler().AddSampler("net_dht_work_units", [&stack]() {
-    return stack.net->metrics().TotalWork(WorkKind::kDhtTask);
-  });
 
   // Deliveries land on whichever shard owns the target host; relaxed atomics keep the
   // sums exact — and deterministic, since addition commutes — at every K.
   std::atomic<uint64_t> delivered{0};
   std::atomic<uint64_t> total_hops{0};
-  const double handlers_start = bench::WallSeconds();
-  for (size_t i = 0; i < stack.pastry->size(); ++i) {
-    stack.pastry->node(i).SetDeliverHandler(
-        1200, [&delivered, &total_hops](const NodeId&, const Message&, int hops) {
-          delivered.fetch_add(1, std::memory_order_relaxed);
-          total_hops.fetch_add(static_cast<uint64_t>(hops), std::memory_order_relaxed);
-        });
+  {
+    ProfileScope profile_scope("handlers");
+    for (size_t i = 0; i < stack.pastry->size(); ++i) {
+      stack.pastry->node(i).SetDeliverHandler(
+          1200, [&delivered, &total_hops](const NodeId&, const Message&, int hops) {
+            delivered.fetch_add(1, std::memory_order_relaxed);
+            total_hops.fetch_add(static_cast<uint64_t>(hops), std::memory_order_relaxed);
+          });
+    }
   }
-  const double handlers_s = bench::WallSeconds() - handlers_start;
 
   // Pre-plan every route (launch time, source, target) from the seeded Rng so the
   // schedule is one deterministic artifact shared by every engine and shard count.
@@ -101,9 +97,7 @@ int Run(size_t nodes, size_t routes) {
       });
     });
   }
-  const double loop_start = bench::WallSeconds();
   stack.sim.Run();
-  const double loop_s = bench::WallSeconds() - loop_start;
 
   const uint64_t delivered_total = delivered.load();
   const uint64_t hops_total = total_hops.load();
@@ -116,11 +110,6 @@ int Run(size_t nodes, size_t routes) {
   std::printf("mean hops:          %.3f\n", mean_hops);
   std::printf("events fired:       %llu\n",
               static_cast<unsigned long long>(stack.sim.events_fired()));
-  // The gauge still holds the periodic sampler's last window; show it before the
-  // explicit publish overwrites it with the whole-run average.
-  std::printf("sim.events_per_sec gauge (live window): %.0f\n",
-              GlobalMetrics().GetGauge("sim.events_per_sec").value());
-  stack.sim.PublishThroughputMetrics();
   std::printf("events/sec (wall):  %.0f\n", stack.sim.EventsPerSecond());
 
   // Machine-readable record for tools/benchdiff. The fingerprint covers the routing
@@ -144,24 +133,32 @@ int Run(size_t nodes, size_t routes) {
   // swings from ambient load alone, so only a gross collapse (>2.5x) should gate.
   report.SetMetric("events_per_sec", stack.sim.EventsPerSecond(), "events/s", 1.5);
   report.SetFingerprint("route_stats", FingerprintBytes(probe));
-  const bench::Stack::BuildPhases phases = stack.phases;
+  const double rss_bytes = stack.overlay_rss_bytes;
   const Simulator::BarrierStats barrier = stack.sim.barrier_stats();
   const uint64_t events_fired = stack.sim.events_fired();
-  GlobalProfiler().RemoveSampler("net_dht_work_units");
-  const double teardown_start = bench::WallSeconds();
-  owned_stack.reset();
-  const double teardown_s = bench::WallSeconds() - teardown_start;
+  {
+    ProfileScope profile_scope("teardown");
+    owned_stack.reset();
+  }
+  whole_run.reset();
   // Phase walls on a shared box swing like events_per_sec, hence the same budget; the
   // resident-set growth moves only with the allocator and the per-node layout.
-  const std::pair<const char*, double> walls[] = {
-      {"phase_add_nodes_s", phases.add_nodes_s}, {"phase_oracle_s", phases.oracle_s},
-      {"phase_forest_s", phases.forest_s},       {"phase_handlers_s", handlers_s},
-      {"phase_event_loop_s", loop_s},            {"phase_teardown_s", teardown_s}};
-  for (const auto& [name, seconds] : walls) {
-    std::fprintf(stderr, "%-20s%.3f s\n", name, seconds);
-    report.SetMetric(name, seconds, "s", 1.5);
+  const double whole_s = profiler.Find("scale_smoke")->stats.wall_seconds;
+  double rest_s = whole_s;
+  const std::pair<const char*, const char*> walls[] = {
+      {"phase_add_nodes_s", "add_nodes"}, {"phase_oracle_s", "oracle_build"},
+      {"phase_forest_s", "forest_build"}, {"phase_handlers_s", "handlers"},
+      {"phase_event_loop_s", "sim_run"},  {"phase_teardown_s", "teardown"}};
+  for (const auto& [name, phase] : walls) {
+    const Profiler::PhaseNode* node = profiler.Find(std::string("scale_smoke.") + phase);
+    CHECK(node != nullptr);
+    rest_s -= node->stats.wall_seconds;
+    std::fprintf(stderr, "%-20s%.3f s\n", name, node->stats.wall_seconds);
+    report.SetMetric(name, node->stats.wall_seconds, "s", 1.5);
   }
-  const double rss_per_node = phases.overlay_rss_bytes / static_cast<double>(nodes);
+  std::fprintf(stderr, "%-20s%.3f s, %.3f s (%.1f%%) in no phase\n", "scale_smoke", whole_s,
+               rest_s, 100.0 * rest_s / whole_s);
+  const double rss_per_node = rss_bytes / static_cast<double>(nodes);
   std::fprintf(stderr, "overlay VmRSS growth: %.0f B/node\n", rss_per_node);
   // The K>1 barrier's costs depend on K, so they are printed here and never reported.
   if (shards > 1) {

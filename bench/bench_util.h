@@ -8,7 +8,6 @@
 #ifndef BENCH_BENCH_UTIL_H_
 #define BENCH_BENCH_UTIL_H_
 
-#include <chrono>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -20,16 +19,11 @@
 #include "src/core/engine.h"
 #include "src/core/eua_topology.h"
 #include "src/obs/bench_report.h"
+#include "src/obs/profiler.h"
 #include "src/pubsub/forest.h"
 
 namespace totoro {
 namespace bench {
-
-// Wall-clock seconds from an arbitrary epoch, for timing phases.
-inline double WallSeconds() {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 // This process's resident set (VmRSS) in bytes, or 0 where /proc is unavailable.
 inline double ResidentBytes() {
@@ -53,7 +47,9 @@ inline double ResidentBytes() {
 // The engine defaults to Simulator() — one shard, run inline on the calling thread;
 // pass `custom_sim` (e.g. MakeSimulatorFromEnv(), which honors TOTORO_SIM_SHARDS) to
 // run the same stack on K shards. The constructor wires the conservative-barrier
-// lookahead from the latency model unconditionally; only K > 1 uses it.
+// lookahead from the latency model unconditionally; only K > 1 uses it. Its node-add
+// loop is the profiler phase `add_nodes`, beside the library's `oracle_build` and
+// `forest_build`.
 struct Stack {
   std::unique_ptr<Simulator> sim_owner;
   Simulator& sim;
@@ -61,16 +57,9 @@ struct Stack {
   std::unique_ptr<PastryNetwork> pastry;
   std::unique_ptr<Forest> forest;
   Rng rng;
-  // Wall seconds of each construction phase, and the resident-set growth across the
-  // overlay build (node add and BuildOracle; process-wide, so meaningful only when one
-  // stack builds at a time).
-  struct BuildPhases {
-    double add_nodes_s = 0.0;
-    double oracle_s = 0.0;
-    double forest_s = 0.0;
-    double overlay_rss_bytes = 0.0;
-  };
-  BuildPhases phases;
+  // Resident-set growth across the overlay build (node add and BuildOracle;
+  // process-wide, so meaningful only when one stack builds at a time).
+  double overlay_rss_bytes = 0.0;
 
   Stack(size_t nodes, uint64_t seed, PastryConfig pastry_config = {},
         ScribeConfig scribe_config = {}, bool model_bandwidth = true,
@@ -87,23 +76,17 @@ struct Stack {
         net_config);
     sim.SetLookaheadMs(net->latency_model().MinLatencyMs());
     const double rss_before = ResidentBytes();
-    double mark = WallSeconds();
-    const auto lap = [&mark] {
-      const double start = mark;
-      mark = WallSeconds();
-      return mark - start;
-    };
-    pastry = std::make_unique<PastryNetwork>(net.get(), pastry_config);
-    pastry->Reserve(nodes);
-    for (size_t i = 0; i < nodes; ++i) {
-      pastry->AddRandomNode(rng);
+    {
+      ProfileScope profile_scope("add_nodes");
+      pastry = std::make_unique<PastryNetwork>(net.get(), pastry_config);
+      pastry->Reserve(nodes);
+      for (size_t i = 0; i < nodes; ++i) {
+        pastry->AddRandomNode(rng);
+      }
     }
-    phases.add_nodes_s = lap();
     pastry->BuildOracle(rng);
-    phases.oracle_s = lap();
-    phases.overlay_rss_bytes = ResidentBytes() - rss_before;
+    overlay_rss_bytes = ResidentBytes() - rss_before;
     forest = std::make_unique<Forest>(pastry.get(), scribe_config);
-    phases.forest_s = lap();
   }
 
   std::vector<size_t> AllNodes() const {

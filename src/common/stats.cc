@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <limits>
 
 #include "src/common/check.h"
 
@@ -61,57 +59,6 @@ void Summary::EnsureSorted() const {
     std::sort(sorted_.begin(), sorted_.end());
     sorted_valid_ = true;
   }
-}
-
-AsciiHistogram::AsciiHistogram(double lo, double hi, int bins) : lo_(lo), hi_(hi) {
-  CHECK_LT(lo, hi);
-  CHECK_GT(bins, 0);
-  buckets_.assign(static_cast<size_t>(bins), 0);
-}
-
-void AsciiHistogram::Add(double x) {
-  ++count_;
-  if (x < lo_) {
-    ++underflow_;
-    return;
-  }
-  if (x >= hi_) {
-    ++overflow_;
-    return;
-  }
-  const double frac = (x - lo_) / (hi_ - lo_);
-  size_t i = static_cast<size_t>(frac * buckets_.size());
-  if (i >= buckets_.size()) {
-    i = buckets_.size() - 1;
-  }
-  ++buckets_[i];
-}
-
-double AsciiHistogram::BucketLow(int i) const {
-  return lo_ + (hi_ - lo_) * i / static_cast<double>(buckets_.size());
-}
-
-double AsciiHistogram::BucketHigh(int i) const {
-  return lo_ + (hi_ - lo_) * (i + 1) / static_cast<double>(buckets_.size());
-}
-
-std::string AsciiHistogram::Render(int max_bar_width) const {
-  size_t peak = 1;
-  for (size_t b : buckets_) {
-    peak = std::max(peak, b);
-  }
-  std::string out;
-  char line[256];
-  for (size_t i = 0; i < buckets_.size(); ++i) {
-    const int bar = static_cast<int>(
-        static_cast<double>(buckets_[i]) / static_cast<double>(peak) * max_bar_width);
-    std::snprintf(line, sizeof(line), "[%10.3g, %10.3g) %8zu ", BucketLow(static_cast<int>(i)),
-                  BucketHigh(static_cast<int>(i)), buckets_[i]);
-    out += line;
-    out.append(static_cast<size_t>(bar), '#');
-    out += '\n';
-  }
-  return out;
 }
 
 size_t IntCounter::Total() const {

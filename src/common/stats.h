@@ -4,7 +4,6 @@
 
 #include <cstddef>
 #include <map>
-#include <string>
 #include <vector>
 
 namespace totoro {
@@ -34,32 +33,6 @@ class Summary {
   mutable std::vector<double> sorted_;
   mutable bool sorted_valid_ = false;
   double sum_ = 0.0;
-};
-
-// Fixed-width ASCII-rendered histogram over [lo, hi) for bench output (the metrics
-// registry's Histogram in src/obs/ is the canonical series type).
-class AsciiHistogram {
- public:
-  AsciiHistogram(double lo, double hi, int bins);
-
-  void Add(double x);
-  size_t count() const { return count_; }
-  const std::vector<size_t>& buckets() const { return buckets_; }
-  size_t underflow() const { return underflow_; }
-  size_t overflow() const { return overflow_; }
-  double BucketLow(int i) const;
-  double BucketHigh(int i) const;
-
-  // Multi-line ASCII rendering with proportional bars.
-  std::string Render(int max_bar_width = 40) const;
-
- private:
-  double lo_;
-  double hi_;
-  std::vector<size_t> buckets_;
-  size_t underflow_ = 0;
-  size_t overflow_ = 0;
-  size_t count_ = 0;
 };
 
 // Counts exact integer values; used for e.g. "#masters hosted per node".

@@ -7,6 +7,7 @@
 
 #include "src/common/check.h"
 #include "src/common/env.h"
+#include "src/obs/profiler.h"
 
 namespace totoro {
 
@@ -214,6 +215,8 @@ void PastryNetwork::BuildOracle(Rng& rng) {
 void PastryNetwork::BuildOracleForTest(Rng& rng, size_t workers) { BuildOracleOn(rng, workers); }
 
 void PastryNetwork::BuildOracleOn(Rng& rng, size_t workers) {
+  // Declared first, so it closes after the install threads join.
+  ProfileScope profile_scope("oracle_build");
   const size_t n = nodes_.size();
   CHECK_GT(n, 0u);
   SortedOverlay overlay;

@@ -302,7 +302,13 @@ PastryNode::KeepAlive& PastryNode::KeepAliveState() {
 }
 
 void PastryNode::AddSuspect(const RouteEntry& entry) {
-  const SimTime expires = net_->sim()->Now() + config_.suspect_ttl_ms;
+  // Suspect probing (with keep-alives on): a node removed by ReportDead is remembered
+  // as a suspect for kSuspectTtlMs and probed round-robin, one per keep-alive tick.
+  // A suspect that answers is re-learned. This is what re-merges the ring after a
+  // network partition heals — without it both sides have purged each other and no
+  // protocol path ever re-introduces them.
+  constexpr double kSuspectTtlMs = 8000.0;
+  const SimTime expires = net_->sim()->Now() + kSuspectTtlMs;
   std::vector<KeepAlive::Suspect>& suspects = KeepAliveState().suspects;
   for (KeepAlive::Suspect& s : suspects) {
     if (s.entry.host == entry.host) {
@@ -346,7 +352,7 @@ void PastryNode::ProbeOneSuspect() {
 
 void PastryNode::ReportDead(const NodeId& id, HostId host) {
   ChargeDhtWork(0.5);
-  if (config_.enable_suspect_probe && config_.enable_keepalive && host != host_) {
+  if (config_.enable_keepalive && host != host_) {
     AddSuspect(RouteEntry{id, host});
   }
   int64_t delta = 0;
@@ -418,9 +424,7 @@ void PastryNode::KeepAliveTick() {
       }
     }
   }
-  if (config_.enable_suspect_probe) {
-    ProbeOneSuspect();
-  }
+  ProbeOneSuspect();
   CheckKeepAliveDeadlines(members);
   net_->sim()->Schedule(config_.keepalive_interval_ms, [this]() { KeepAliveTick(); });
 }

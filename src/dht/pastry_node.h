@@ -33,16 +33,10 @@ struct PastryConfig {
   int bits_per_digit = 4;      // b; routing table has 2^b - 1 usable columns per row.
   int leaf_set_size = 24;      // L (paper's EC2 config).
   int neighborhood_size = 16;  // M.
+  // Keep-alives also probe suspects: hosts ReportDead removed (see AddSuspect).
   bool enable_keepalive = false;
   double keepalive_interval_ms = 500.0;
   double keepalive_timeout_ms = 1600.0;
-  // Suspect probing (requires keep-alives): a node removed by ReportDead is remembered
-  // as a suspect for `suspect_ttl_ms` and probed round-robin, one per keep-alive tick.
-  // A suspect that answers is re-learned. This is what re-merges the ring after a
-  // network partition heals — without it both sides have purged each other and no
-  // protocol path ever re-introduces them.
-  bool enable_suspect_probe = true;
-  double suspect_ttl_ms = 8000.0;
 };
 
 class PastryNode : public Host {

@@ -4,6 +4,7 @@
 #include <cinttypes>
 #include <cstdarg>
 #include <cstdio>
+#include <functional>
 
 #include "src/common/check.h"
 #include "src/common/env.h"
@@ -44,19 +45,6 @@ void AppendF(std::string* out, const char* fmt, ...) {
 }
 
 }  // namespace
-
-void SampleSeries::Record(double value) {
-  if (count == 0) {
-    min = value;
-    max = value;
-  } else {
-    min = std::min(min, value);
-    max = std::max(max, value);
-  }
-  ++count;
-  sum += value;
-  last = value;
-}
 
 Profiler::Profiler() : epoch_(std::chrono::steady_clock::now()) {
   enabled_ = EnvInt64("TOTORO_PROFILE", 0, 0) > 0;
@@ -107,29 +95,6 @@ void Profiler::Exit() {
   if (events_ != nullptr) {
     stats.events += *events_ - frame.events_start;
   }
-}
-
-void Profiler::AddSampler(const std::string& name, std::function<double()> fn) {
-  CHECK(ValidPhaseName(name.c_str()));
-  samplers_[name] = std::move(fn);
-}
-
-void Profiler::RemoveSampler(const std::string& name) { samplers_.erase(name); }
-
-void Profiler::Sample() {
-  if (!enabled_) {
-    return;
-  }
-  for (const auto& [name, fn] : samplers_) {
-    samples_[name].Record(fn());
-  }
-}
-
-void Profiler::RecordSample(const std::string& name, double value) {
-  if (!enabled_) {
-    return;
-  }
-  samples_[name].Record(value);
 }
 
 const Profiler::PhaseNode* Profiler::Find(const std::string& path) const {
@@ -197,11 +162,6 @@ std::string Profiler::ReportText() const {
             node.stats.calls, node.stats.wall_seconds, node.stats.virtual_ms,
             node.stats.events);
   });
-  for (const auto& [name, series] : samples_) {
-    AppendF(&out, "sample %-24s n=%" PRIu64 " min=%.3f mean=%.3f max=%.3f last=%.3f\n",
-            name.c_str(), series.count, series.min, series.mean(), series.max,
-            series.last);
-  }
   return out;
 }
 
@@ -222,20 +182,6 @@ std::string Profiler::ToJson() const {
             node.stats.calls, node.stats.wall_seconds, node.stats.virtual_ms,
             node.stats.events);
   });
-  out.append("},\"samples\":{");
-  first = true;
-  for (const auto& [name, series] : samples_) {
-    if (!first) {
-      out.append(",");
-    }
-    first = false;
-    out.append("\"");
-    out.append(JsonEscape(name));
-    AppendF(&out,
-            "\":{\"count\":%" PRIu64 ",\"min\":%.6f,\"mean\":%.6f,\"max\":%.6f,"
-            "\"last\":%.6f}",
-            series.count, series.min, series.mean(), series.max, series.last);
-  }
   out.append("}}");
   return out;
 }
@@ -244,7 +190,6 @@ void Profiler::Reset() {
   CHECK(stack_.empty());
   nodes_.clear();
   nodes_.push_back(PhaseNode{});
-  samples_.clear();
 }
 
 void Profiler::MergeSubtree(const Profiler& other, size_t src, size_t dst) {
@@ -264,21 +209,6 @@ void Profiler::MergeFrom(const Profiler& other, size_t under) {
   CHECK(other.stack_.empty());  // A phase still open on another thread can't fold.
   CHECK_LT(under, nodes_.size());
   MergeSubtree(other, 0, under);
-  for (const auto& [name, series] : other.samples_) {
-    SampleSeries& out = samples_[name];
-    if (series.count == 0) {
-      continue;
-    }
-    if (out.count == 0) {
-      out = series;
-      continue;
-    }
-    out.min = std::min(out.min, series.min);
-    out.max = std::max(out.max, series.max);
-    out.count += series.count;
-    out.sum += series.sum;
-    out.last = series.last;  // Merge order is fixed, so this stays deterministic.
-  }
 }
 
 namespace {

@@ -1,10 +1,11 @@
-// Scoped hierarchical phase profiler.
+// Scoped hierarchical phase profiler: the one clock that says where a run's wall time
+// went.
 //
 // A phase is a named region of harness or protocol code ("engine_run", "sim_run",
 // "aggregate"); entering the same name under the same parent accumulates into one node,
 // so a whole bench run reduces to a small tree of phases with per-phase deltas:
 //
-//   wall_seconds  real CPU time inside the phase (nondeterministic; never exported to
+//   wall_seconds  wall-clock time inside the phase (nondeterministic; never exported to
 //                 the metrics registry, only to ReportText/ToJson/Chrome trace)
 //   virtual_ms    simulated-time advance inside the phase (deterministic)
 //   events        simulator events fired inside the phase (deterministic)
@@ -14,17 +15,23 @@
 // exactly like the tracer's clock source; phases that never wrap a Simulator::Run
 // simply read zero deltas for both.
 //
+// The library opens one scope per layer boundary, never on a per-event path:
+// `oracle_build` (PastryNetwork::BuildOracle), `forest_build` (Forest's constructor),
+// `subscribe_all` (Forest::SubscribeAll), `sim_run` (every Simulator run), the engine's
+// `engine_run` / `plan` / `disseminate` / `train` / `aggregate` / `evaluate`, and
+// `compute_task` (one per compute-pool task). Callers scope their own loops around
+// these (bench::Stack's `add_nodes`); perfbench reserves the names it wraps around
+// library calls (`dht_build`, `dht_join`, `dht_handlers`, `pubsub_build`,
+// `pubsub_subscribe`, `sim`, `core`, `ml_train`, `ml_eval`, `fl_aggregate`), so no
+// library scope repeats one.
+//
 // Usage:
 //   ProfileScope scope("aggregate");   // accumulates into <current>/aggregate
 //
 // Profiling is off by default and zero-cost when disabled: ProfileScope's constructor
 // is one inline enabled-check, identical to the tracer's contract. The TOTORO_PROFILE
-// environment variable (any value >= 1) turns it on for the whole process.
-//
-// Sampling hooks: callers register named samplers (event-queue depth, per-host work,
-// ...) with AddSampler; the simulator's periodic sampler (see
-// Simulator::EnablePeriodicSampling) drives Sample() every N fired events, so sampled
-// series are indexed by a deterministic trigger even though their values may not be.
+// environment variable (any value >= 1) turns it on for the whole process; a bench that
+// reports phase walls turns its own thread's profiler on with SetEnabled.
 //
 // Export paths:
 //   PublishToMetrics  folds calls / virtual_ms / events per phase into the metrics
@@ -41,7 +48,6 @@
 
 #include <chrono>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <string>
 #include <vector>
@@ -55,18 +61,6 @@ struct PhaseStats {
   double wall_seconds = 0.0;
   double virtual_ms = 0.0;
   uint64_t events = 0;
-};
-
-// Running summary of one sampled series (all recorded values, not a reservoir).
-struct SampleSeries {
-  uint64_t count = 0;
-  double sum = 0.0;
-  double min = 0.0;
-  double max = 0.0;
-  double last = 0.0;
-
-  void Record(double value);
-  double mean() const { return count == 0 ? 0.0 : sum / static_cast<double>(count); }
 };
 
 class Profiler {
@@ -93,20 +87,9 @@ class Profiler {
   void SetEventCountSource(const uint64_t* events_fired) { events_ = events_fired; }
   const uint64_t* event_count_source() const { return events_; }
 
-  // --- Sampling hooks ---
-  // Registers a named gauge-style hook invoked by Sample(). Name-ordered invocation.
-  void AddSampler(const std::string& name, std::function<double()> fn);
-  void RemoveSampler(const std::string& name);
-  // Invokes every registered sampler and records its value. No-op when disabled.
-  void Sample();
-  // Records one observation into a named series directly (for callers that already
-  // hold the value, e.g. the simulator's queue-depth sample). No-op when disabled.
-  void RecordSample(const std::string& name, double value);
-
   // --- Phase tree access ---
   // nodes()[0] is the synthetic root; its stats stay zero.
   const std::vector<PhaseNode>& nodes() const { return nodes_; }
-  const std::map<std::string, SampleSeries>& samples() const { return samples_; }
   // Finds a phase by dotted path ("engine_run.sim_run"); nullptr when absent.
   const PhaseNode* Find(const std::string& path) const;
   // Dotted path of a node index ("" for the root).
@@ -122,19 +105,19 @@ class Profiler {
   void PublishToMetrics(MetricsRegistry* registry) const;
   // Indented tree, one line per phase, wall/virtual/events/calls columns.
   std::string ReportText() const;
-  // Machine-readable snapshot: phases (all four fields) + sampled series.
+  // Machine-readable snapshot: every phase with all four fields.
   std::string ToJson() const;
 
-  // Drops all phases and samples (open scopes must be closed first); keeps enabled
-  // state, sources, and registered samplers.
+  // Drops all phases (open scopes must be closed first); keeps enabled state and
+  // sources.
   void Reset();
 
   // Index into nodes() of the innermost open phase; 0 (the root) when none is open.
   size_t current_phase() const { return stack_.empty() ? 0 : stack_.back().node; }
 
-  // Folds `other`'s phase tree and sample series into this profiler under the phase
-  // `under` (an index into nodes(); 0 is the root), matching phases by path (stats add
-  // field-wise). `other` must have no open scopes. Callers merge in a fixed order
+  // Folds `other`'s phase tree into this profiler under the phase `under` (an index
+  // into nodes(); 0 is the root), matching phases by path (stats add field-wise).
+  // `other` must have no open scopes. Callers merge in a fixed order
   // (shard index, task join order) so double sums stay deterministic. This is how
   // phases recorded on other threads reach the exported tree.
   void MergeFrom(const Profiler& other, size_t under = 0);
@@ -164,8 +147,6 @@ class Profiler {
   std::chrono::steady_clock::time_point epoch_;
   std::vector<PhaseNode> nodes_;
   std::vector<Frame> stack_;
-  std::map<std::string, SampleSeries> samples_;
-  std::map<std::string, std::function<double()>> samplers_;
 };
 
 // The thread-wide profiler. Enabled at thread startup when TOTORO_PROFILE is set to a

@@ -6,11 +6,13 @@
 #include <unordered_set>
 
 #include "src/common/check.h"
+#include "src/obs/profiler.h"
 #include "src/obs/trace.h"
 
 namespace totoro {
 
 Forest::Forest(PastryNetwork* pastry, ScribeConfig config) : pastry_(pastry) {
+  ProfileScope profile_scope("forest_build");
   scribes_.reserve(pastry_->size());
   for (size_t i = 0; i < pastry_->size(); ++i) {
     scribes_.push_back(std::make_unique<ScribeNode>(&pastry_->node(i), config));
@@ -24,6 +26,7 @@ NodeId Forest::CreateTopic(const std::string& app_name, const std::string& creat
 
 void Forest::SubscribeAll(const NodeId& topic, const std::vector<size_t>& members,
                           double settle_ms) {
+  ProfileScope profile_scope("subscribe_all");
   // Harness-level span (no single host): covers JOIN fan-out plus the settle window.
   TraceSpan span = GlobalTracer().Begin("pubsub.subscribe_all", "pubsub", UINT32_MAX);
   if (span.active()) {

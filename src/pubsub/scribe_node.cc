@@ -610,8 +610,8 @@ void ScribeNode::MaintenanceTick() {
                now - state.join_sent_ms >= state.join_backoff_ms) {
       // The pending JOIN (or its graft reply) was lost; retransmit with exponential
       // backoff so a flapping link does not amplify into a JOIN storm.
-      state.join_backoff_ms =
-          std::min(state.join_backoff_ms * 2.0, config_.join_retry_max_ms);
+      constexpr double kJoinRetryMaxMs = 3200.0;
+      state.join_backoff_ms = std::min(state.join_backoff_ms * 2.0, kJoinRetryMaxMs);
       JoinRetriesCounter().Increment();
       const double backoff = state.join_backoff_ms;
       SendJoin(state.topic, state.join_direct);

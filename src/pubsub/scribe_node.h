@@ -51,11 +51,10 @@ struct ScribeConfig {
   double parent_timeout_ms = 650.0;
   bool enable_tree_repair = false;
   // JOIN retransmission with exponential backoff: a JOIN still pending after this long
-  // is re-sent, doubling the wait up to `join_retry_max_ms`. 0 disables retries (a JOIN
-  // lost to an unreliable link then strands the node until the next repair pass).
+  // is re-sent, doubling the wait up to 3200 ms. 0 disables retries (a JOIN lost to an
+  // unreliable link then strands the node until the next repair pass).
   // Requires enable_tree_repair (retries ride the maintenance tick).
   double join_retry_ms = 0.0;
-  double join_retry_max_ms = 3200.0;
   // Wire batching for every direct send this node makes: coalesce same-instant sends
   // per edge into framed envelopes (off preserves the exact pre-batching byte stream;
   // see src/pubsub/wire_batcher.h).

@@ -284,12 +284,8 @@ size_t Simulator::RunLoop(size_t max_events, SimTime end_exclusive) {
     if (t_first >= end_exclusive) {
       break;
     }
-    // K=1 stops exactly at max_events and at every sampling point; K>1 is
-    // window-granular.
-    size_t budget = max_events - fired_total;
-    if (num_shards_ == 1 && sample_every_ != 0) {
-      budget = std::min<size_t>(budget, sample_every_ - events_since_sample_ % sample_every_);
-    }
+    // K=1 stops exactly at max_events; K>1 is window-granular.
+    const size_t budget = max_events - fired_total;
     now_ = t_first;
     size_t fired = 0;
     if (control_next == t_first) {
@@ -303,10 +299,6 @@ size_t Simulator::RunLoop(size_t max_events, SimTime end_exclusive) {
       fired = RunWindows(std::min({t_first + lookahead_ms_, control_next, end_exclusive}));
     }
     fired_total += fired;
-    if (sample_every_ != 0) {
-      AccumulatePeriodicSample(fired, events_fired_ + fired_total,
-                               run_wall_seconds_ + (WallClockSeconds() - wall_start));
-    }
   }
   running_ = false;
   run_wall_seconds_ += WallClockSeconds() - wall_start;
@@ -551,34 +543,6 @@ double Simulator::EventsPerSecond() const {
     return 0.0;
   }
   return static_cast<double>(events_fired_) / run_wall_seconds_;
-}
-
-Gauge& Simulator::ThroughputGauge() {
-  if (throughput_gauge_ == nullptr) {
-    throughput_gauge_ = &GlobalMetrics().GetGauge("sim.events_per_sec");
-  }
-  return *throughput_gauge_;
-}
-
-void Simulator::PublishThroughputMetrics() { ThroughputGauge().Set(EventsPerSecond()); }
-
-void Simulator::AccumulatePeriodicSample(uint64_t fired_delta, uint64_t total_fired,
-                                         double wall_now) {
-  events_since_sample_ += fired_delta;
-  if (fired_delta == 0 || events_since_sample_ < sample_every_) {
-    return;
-  }
-  events_since_sample_ %= sample_every_;
-  const double dt = wall_now - window_start_wall_;
-  if (dt > 0.0) {
-    live_events_per_sec_ = static_cast<double>(total_fired - window_start_fired_) / dt;
-    ThroughputGauge().Set(live_events_per_sec_);
-  }
-  window_start_fired_ = total_fired;
-  window_start_wall_ = wall_now;
-  Profiler& profiler = GlobalProfiler();
-  profiler.RecordSample("sim_queue_depth", static_cast<double>(PendingEvents()));
-  profiler.Sample();
 }
 
 }  // namespace totoro

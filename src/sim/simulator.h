@@ -36,21 +36,18 @@
 //    sender's counter.
 //
 // Supported at any K: fault scripts (FaultInjector derives one Rng per (src, dst,
-// send-sequence) from the sender's stream) and periodic sampling. K>1 CHECK-fails on
-// zero lookahead, on hosts added after the first run, and on Network::SetHostBandwidth
-// during a run; K=1 allows all three. TotoroEngine runs at K=1 only (its per-app state
-// is not shown to be thread-safe). TOTORO_PROFILE merges per-shard virtual-ms sums in
-// shard order, so profile gauges may differ across K in the last ulp.
+// send-sequence) from the sender's stream). K>1 CHECK-fails on zero lookahead, on hosts
+// added after the first run, and on Network::SetHostBandwidth during a run; K=1 allows
+// all three. TotoroEngine runs at K=1 only (its per-app state is not shown to be
+// thread-safe). TOTORO_PROFILE merges per-shard virtual-ms sums in shard order, so
+// profile gauges may differ across K in the last ulp.
 //
 // Throughput accounting: Run/RunUntil count fired events into the thread's metrics
 // registry (`sim.events_fired`; effective cancellations fold into
 // `sim.events_cancelled`) and accumulate wall-clock spent inside the event loop, so
-// any bench can report simulated events per wall second. The events/sec gauge is
-// wall-clock dependent, so it is never written implicitly — implicit writes would
-// break bit-identical metric exports across runs. It is written either by an explicit
-// PublishThroughputMetrics() call (whole-run average) or, when a bench opts in with
-// EnablePeriodicSampling(N), every N fired events (live sliding window), which also
-// drives the profiler's sampling hooks (queue depth + registered samplers).
+// any bench can report simulated events per wall second (EventsPerSecond). Each run is
+// also the profiler's `sim_run` phase. Wall-clock values never enter the metrics
+// registry, so metric exports stay bit-identical across runs.
 #ifndef SRC_SIM_SIMULATOR_H_
 #define SRC_SIM_SIMULATOR_H_
 
@@ -68,7 +65,6 @@
 namespace totoro {
 
 class Counter;
-class Gauge;
 class MetricsRegistry;
 class Profiler;
 
@@ -137,23 +133,6 @@ class Simulator {
   double run_wall_seconds() const { return run_wall_seconds_; }
   // Fired events per wall-clock second (0 before any event ran).
   double EventsPerSecond() const;
-  // Writes the `sim.events_per_sec` gauge (whole-run average) into the thread's
-  // metrics registry. Wall-clock values are not deterministic, so this never happens
-  // implicitly — only here or via the opt-in periodic sampler below.
-  void PublishThroughputMetrics();
-
-  // --- Periodic in-run sampling (opt-in; default off) ---
-  // Every `every_events` fired events the loop updates `sim.events_per_sec` with the
-  // rate over the window since the previous sample and drives the profiler's sampling
-  // hooks (event-queue depth as `sim_queue_depth`, plus all registered samplers).
-  // 0 disables. Opting in makes the metrics registry wall-clock dependent — scale
-  // benches that fingerprint metrics must exclude the gauge from their probe. K=1
-  // samples exactly every N events; K>1 samples at window barriers with every worker
-  // waiting, so its sample COUNT depends on K (the event stream does not).
-  void EnablePeriodicSampling(uint64_t every_events) { sample_every_ = every_events; }
-  uint64_t sample_every() const { return sample_every_; }
-  // Rate over the most recent completed sampling window (0 before the first sample).
-  double live_events_per_sec() const { return live_events_per_sec_; }
 
   // --- K>1 barrier accounting ---
   // A thread waiting at the barrier polls for up to kSpinSeconds of wall time, then
@@ -229,7 +208,7 @@ class Simulator {
 
   // Wall-clock seconds since an arbitrary fixed epoch. The single audited wall-time
   // source (lint R1 allows steady_clock in simulator.cc only); it feeds nothing but
-  // events/s accounting, never scheduling.
+  // events/s and barrier accounting, never scheduling.
   static double WallClockSeconds();
 
   SimTime ThreadNow() const;
@@ -281,15 +260,6 @@ class Simulator {
   // Folds queue-side cancellations observed since the last sync into the counter.
   void SyncCancelledCounter();
 
-  // The single registration site for the `sim.events_per_sec` gauge.
-  Gauge& ThroughputGauge();
-  // Advances the periodic-sampling countdown by `fired_delta` events and, when the
-  // threshold is crossed, closes the window at (`total_fired`, `wall_now`) recording
-  // the pending-event depth as `sim_queue_depth`. A crossing samples once and carries
-  // the remainder, so a coarse K>1 window never bursts samples.
-  void AccumulatePeriodicSample(uint64_t fired_delta, uint64_t total_fired,
-                                double wall_now);
-
   const size_t num_shards_;
   SimTime now_ = 0.0;
   uint64_t events_fired_ = 0;
@@ -307,13 +277,6 @@ class Simulator {
   bool sealed_ = false;
   double lookahead_ms_ = 0.0;
   ExecContext exec_{kControlExec, 0};
-
-  uint64_t sample_every_ = 0;  // 0 = periodic sampling off.
-  uint64_t events_since_sample_ = 0;
-  uint64_t window_start_fired_ = 0;
-  double window_start_wall_ = 0.0;
-  double live_events_per_sec_ = 0.0;
-  Gauge* throughput_gauge_ = nullptr;  // Lazily cached by ThroughputGauge().
 
   // K>1 window barrier. The coordinator writes window_end_ and stopping_, then opens a
   // window by bumping window_gen_ (release); a worker acquires the new generation,

@@ -179,6 +179,27 @@ TEST(BenchDiffTest, ImprovementsNeverFail) {
   EXPECT_EQ(Diff(MakeSample(), faster, &issues), Severity::kNote);
 }
 
+TEST(BenchDiffTest, WallMetricThatReadsZeroFails) {
+  // A wall time that reads 0 was not measured (say, a profiler left off); the
+  // equivalent slowdown would read -100% and pass as a speed-up.
+  BenchReport unmeasured = MakeSample();
+  unmeasured.SetMetric("route_ms", 0.0, "ms", 0.1);
+  std::vector<Issue> issues;
+  EXPECT_EQ(Diff(MakeSample(), unmeasured, &issues), Severity::kFail);
+  ASSERT_EQ(issues.size(), 1u);
+  EXPECT_NE(issues[0].what.find("collapsed"), std::string::npos);
+
+  BenchReport negative = MakeSample();
+  negative.SetMetric("route_ms", -1.0, "ms", 0.1);
+  std::vector<Issue> more;
+  EXPECT_EQ(Diff(MakeSample(), negative, &more), Severity::kFail);
+
+  BenchReport stalled = MakeSample();
+  stalled.SetMetric("events_per_sec", 0.0, "events/s", 0.5);
+  std::vector<Issue> rate;
+  EXPECT_EQ(Diff(MakeSample(), stalled, &rate), Severity::kFail);
+}
+
 TEST(BenchDiffTest, WorkloadMismatchSkipsComparison) {
   BenchReport other = MakeSample();
   other.SetMeta("workload", "nodes=999999");

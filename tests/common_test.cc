@@ -307,21 +307,6 @@ TEST(SummaryTest, PercentileInterpolates) {
   EXPECT_DOUBLE_EQ(s.Percentile(1.0), 10.0);
 }
 
-TEST(HistogramTest, BucketsAndOverflow) {
-  AsciiHistogram h(0.0, 10.0, 10);
-  h.Add(-1.0);
-  h.Add(0.0);
-  h.Add(9.99);
-  h.Add(10.0);
-  h.Add(5.5);
-  EXPECT_EQ(h.underflow(), 1u);
-  EXPECT_EQ(h.overflow(), 1u);
-  EXPECT_EQ(h.buckets()[0], 1u);
-  EXPECT_EQ(h.buckets()[9], 1u);
-  EXPECT_EQ(h.buckets()[5], 1u);
-  EXPECT_EQ(h.count(), 5u);
-}
-
 TEST(IntCounterTest, CumulativeFraction) {
   IntCounter c;
   for (int i = 0; i < 99; ++i) {

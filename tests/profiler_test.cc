@@ -1,14 +1,20 @@
 // Tests for the scoped hierarchical phase profiler (src/obs/profiler.h): nesting and
 // accumulation, disabled-mode inertness, deterministic virtual-time/event deltas from
-// registered sources, sampling hooks, metric publication naming, and Reset semantics.
+// registered sources, metric publication naming, Reset semantics, and the phases the
+// library's construction layers open.
 #include "src/obs/profiler.h"
 
+#include <memory>
 #include <string>
 
 #include <gtest/gtest.h>
 
+#include "src/dht/pastry_network.h"
 #include "src/obs/export.h"
 #include "src/obs/metrics_registry.h"
+#include "src/pubsub/forest.h"
+#include "src/sim/latency_model.h"
+#include "src/sim/simulator.h"
 
 namespace totoro {
 namespace {
@@ -82,17 +88,14 @@ TEST_F(ProfilerTest, PathOfRoundTripsWithFind) {
   }
 }
 
-TEST_F(ProfilerTest, DisabledModeCreatesNoNodesAndNoSamples) {
+TEST_F(ProfilerTest, DisabledModeCreatesNoNodes) {
   Profiler& p = GlobalProfiler();
   p.SetEnabled(false);
   {
     ProfileScope scope("ghost");
     ProfileScope nested("ghost_child");
   }
-  p.RecordSample("ghost_series", 1.0);
-  p.Sample();
   EXPECT_EQ(p.nodes().size(), 1u);  // Only the synthetic root.
-  EXPECT_TRUE(p.samples().empty());
   EXPECT_EQ(p.open_scopes(), 0u);
 }
 
@@ -153,28 +156,6 @@ TEST_F(ProfilerTest, RepeatedRunsAccumulateExactDeltas) {
   p.SetClockSource(nullptr);
 }
 
-TEST_F(ProfilerTest, SamplersAndDirectSamplesAggregate) {
-  Profiler& p = GlobalProfiler();
-  double depth = 4.0;
-  p.AddSampler("queue_depth", [&depth]() { return depth; });
-  p.Sample();
-  depth = 10.0;
-  p.Sample();
-  p.RecordSample("direct", 2.5);
-  p.RecordSample("direct", 7.5);
-  const auto& samples = p.samples();
-  ASSERT_TRUE(samples.count("queue_depth"));
-  EXPECT_EQ(samples.at("queue_depth").count, 2u);
-  EXPECT_DOUBLE_EQ(samples.at("queue_depth").min, 4.0);
-  EXPECT_DOUBLE_EQ(samples.at("queue_depth").max, 10.0);
-  EXPECT_DOUBLE_EQ(samples.at("queue_depth").last, 10.0);
-  ASSERT_TRUE(samples.count("direct"));
-  EXPECT_DOUBLE_EQ(samples.at("direct").mean(), 5.0);
-  p.RemoveSampler("queue_depth");
-  p.Sample();
-  EXPECT_EQ(samples.at("queue_depth").count, 2u);  // Removed sampler no longer fires.
-}
-
 TEST_F(ProfilerTest, PublishToMetricsEmitsOnlyDeterministicFields) {
   Profiler& p = GlobalProfiler();
   double now_ms = 0.0;
@@ -217,20 +198,54 @@ TEST_F(ProfilerTest, ResetDropsPhasesKeepsConfiguration) {
   Profiler& p = GlobalProfiler();
   double now_ms = 0.0;
   p.SetClockSource(&now_ms);
-  p.AddSampler("kept", []() { return 1.0; });
   {
     ProfileScope scope("dropped");
   }
-  p.Sample();
   p.Reset();
   EXPECT_TRUE(p.enabled());
   EXPECT_EQ(p.nodes().size(), 1u);
-  EXPECT_TRUE(p.samples().empty());
   EXPECT_EQ(p.clock_source(), &now_ms);
-  p.Sample();  // Samplers survive Reset.
-  EXPECT_EQ(p.samples().count("kept"), 1u);
-  p.RemoveSampler("kept");
   p.SetClockSource(nullptr);
+}
+
+// Builds a 64-node overlay, its forest, and one topic that five members join.
+void BuildOverlayForestAndSubscribe() {
+  Simulator sim;
+  Network net(&sim, std::make_unique<PairwiseUniformLatency>(2.0, 20.0, 7), NetworkConfig{});
+  PastryNetwork pastry(&net, PastryConfig{});
+  Rng rng(11);
+  for (int i = 0; i < 64; ++i) {
+    pastry.AddRandomNode(rng);
+  }
+  pastry.BuildOracle(rng);
+  Forest forest(&pastry, ScribeConfig{});
+  forest.SubscribeAll(forest.CreateTopic("phases"), {1, 2, 3, 4, 5});
+}
+
+TEST_F(ProfilerTest, ConstructionLayersRecordOnePhaseEach) {
+  BuildOverlayForestAndSubscribe();
+  const Profiler& p = GlobalProfiler();
+  for (const char* phase : {"oracle_build", "forest_build", "subscribe_all"}) {
+    const Profiler::PhaseNode* node = p.Find(phase);
+    ASSERT_NE(node, nullptr) << phase;
+    EXPECT_EQ(node->stats.calls, 1u) << phase;
+  }
+  // The builds install state directly; neither fires an event.
+  EXPECT_EQ(p.Find("oracle_build")->stats.events, 0u);
+  EXPECT_EQ(p.Find("forest_build")->stats.events, 0u);
+  // The JOINs settle in one run inside the subscribe, and that run is all it fires.
+  const Profiler::PhaseNode* settle = p.Find("subscribe_all.sim_run");
+  ASSERT_NE(settle, nullptr);
+  EXPECT_EQ(settle->stats.calls, 1u);
+  EXPECT_GT(settle->stats.events, 0u);
+  EXPECT_EQ(settle->stats.events, p.Find("subscribe_all")->stats.events);
+  EXPECT_EQ(p.Find("sim_run"), nullptr);
+}
+
+TEST_F(ProfilerTest, ConstructionLayersRecordNothingWhenOff) {
+  GlobalProfiler().SetEnabled(false);
+  BuildOverlayForestAndSubscribe();
+  EXPECT_EQ(GlobalProfiler().nodes().size(), 1u);  // Only the synthetic root.
 }
 
 }  // namespace

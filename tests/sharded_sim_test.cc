@@ -326,54 +326,6 @@ TEST(ShardedSimulator, BarrierStatsCountWindowsAndCrossShardPings) {
   }
 }
 
-TEST(ShardedSimulator, PeriodicSamplingDrivesLiveRateAtBarriers) {
-  // The coordinator advances the sampling countdown by each window's fired total, so
-  // an opted-in sharded run publishes a live rate without perturbing the event stream.
-  uint64_t sampled_events = 0;
-  uint64_t plain_events = 0;
-  double live_rate = 0.0;
-  double gauge_value = 0.0;
-  for (const bool sample : {true, false}) {
-    std::thread runner([&, sample] {
-      ShardedSimulator sim(4);
-      Network net(&sim, std::make_unique<PairwiseUniformLatency>(2.0, 20.0, 99),
-                  NetworkConfig{});
-      constexpr size_t kHosts = 12;
-      std::vector<PingHost> hosts(kHosts);
-      for (size_t i = 0; i < kHosts; ++i) {
-        hosts[i].net = &net;
-        hosts[i].id = net.AddHost(&hosts[i]);
-      }
-      sim.SetLookaheadMs(net.latency_model().MinLatencyMs());
-      if (sample) {
-        sim.EnablePeriodicSampling(8);
-      }
-      for (size_t i = 0; i < kHosts; ++i) {
-        sim.RunAsHost(static_cast<HostId>(i), [&net, i] {
-          Message m;
-          m.src = static_cast<HostId>(i);
-          m.dst = static_cast<HostId>((i * 7 + 1) % kHosts);
-          m.size_bytes = 100;
-          net.Send(m);
-        });
-      }
-      sim.RunUntil(400.0);
-      if (sample) {
-        sampled_events = sim.events_fired();
-        live_rate = sim.live_events_per_sec();
-        gauge_value = GlobalMetrics().GetGauge("sim.events_per_sec").value();
-      } else {
-        plain_events = sim.events_fired();
-      }
-    });
-    runner.join();
-  }
-  EXPECT_GT(sampled_events, 8u);
-  EXPECT_EQ(sampled_events, plain_events) << "sampling must not perturb the run";
-  EXPECT_GT(live_rate, 0.0);
-  EXPECT_GT(gauge_value, 0.0);
-}
-
 // The `Threads:` line of /proc/self/status: this process's live thread count.
 int ProcessThreadCount() {
   std::ifstream status("/proc/self/status");

@@ -1,3 +1,7 @@
+#include <algorithm>
+#include <memory>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "src/sim/network.h"
@@ -110,6 +114,70 @@ class TimestampHost : public Host {
  private:
   Simulator* sim_;
 };
+
+// Schedules control and host events at mixed and equal times, some of which schedule
+// more at their own instant, and runs them in chunks of at most `bound` events (0: one
+// unbounded Run). Returns the labels in firing order; each label names one event, so
+// the list is the run's (time, key) order.
+std::vector<int> RunMixedEvents(size_t bound) {
+  Simulator sim;
+  Network net(&sim, std::make_unique<ConstantLatency>(1.0), NetworkConfig{});
+  RecordingHost a;
+  RecordingHost b;
+  const HostId ha = net.AddHost(&a);
+  const HostId hb = net.AddHost(&b);
+  std::vector<int> order;
+  const auto at = [&sim, &order](SimTime t, int label) {
+    sim.ScheduleAt(t, [&sim, &order, label] {
+      order.push_back(label);
+      if (label % 4 == 0) {
+        sim.Schedule(0.0, [&order, label] { order.push_back(100 + label); });
+      }
+    });
+  };
+  at(2.0, 0);
+  at(1.0, 1);
+  sim.RunAsHost(ha, [&] {
+    at(1.0, 2);
+    at(0.5, 3);
+    at(2.0, 4);
+  });
+  sim.RunAsHost(hb, [&] {
+    at(1.0, 5);
+    at(1.0, 6);
+    at(3.0, 7);
+  });
+  at(1.0, 8);
+  at(2.0, 9);
+  const size_t total = 13;  // Ten scheduled here, three more inside (labels 0, 4, 8).
+  if (bound == 0) {
+    EXPECT_EQ(sim.Run(), total);
+  } else {
+    size_t fired = 0;
+    while (!sim.Idle()) {
+      const size_t chunk = sim.Run(bound);
+      EXPECT_EQ(chunk, std::min(bound, total - fired));
+      if (chunk == 0) {
+        break;
+      }
+      fired += chunk;
+      EXPECT_EQ(sim.events_fired(), fired);
+      EXPECT_EQ(order.size(), fired);
+    }
+  }
+  EXPECT_EQ(sim.events_fired(), total);
+  return order;
+}
+
+TEST(SimulatorTest, BoundedRunsFireExactlyTheirBoundInTheUnboundedOrder) {
+  // Time first; at one instant the control stream (drained, its own follow-ups too)
+  // before host events, which order by host and then by schedule.
+  const std::vector<int> unbounded = RunMixedEvents(0);
+  EXPECT_EQ(unbounded, (std::vector<int>{3, 1, 8, 108, 2, 5, 6, 0, 9, 100, 4, 104, 7}));
+  for (const size_t bound : {size_t{1}, size_t{3}}) {
+    EXPECT_EQ(RunMixedEvents(bound), unbounded) << "bound " << bound;
+  }
+}
 
 TEST(NetworkTest, DeliversWithPropagationLatency) {
   Simulator sim;

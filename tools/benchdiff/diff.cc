@@ -174,22 +174,22 @@ Severity DiffReports(const Report& baseline, const Report& current,
           "metric '" + metric_name + "' has zero baseline; skipping");
       continue;
     }
+    // A rate at or below zero collapsed. So did a wall time, size or latency that reads
+    // zero or less against a positive baseline: the phase stopped being measured (a
+    // profiler left off, a scope gone), which is no speed-up.
+    if (cur.value <= 0.0 && (base.value > 0.0 || HigherIsBetter(base.unit))) {
+      Add(issues, &worst, Severity::kFail, name,
+          "metric '" + metric_name + "' collapsed to " + FormatDouble(cur.value) + " " +
+              base.unit + " (baseline " + FormatDouble(base.value) + ")");
+      continue;
+    }
     // Rates ("/s" units) measure regression as the equivalent slowdown
     // (base/current - 1), so halving a rate reads as a 100% regression — the same
     // number a doubled latency produces. Rate-domain (1 - current/base) would
     // saturate at 100% and let any slowdown pass a tolerance of 1.
-    double rel;
-    if (HigherIsBetter(base.unit)) {
-      if (cur.value <= 0.0) {
-        Add(issues, &worst, Severity::kFail, name,
-            "metric '" + metric_name + "' collapsed to " + FormatDouble(cur.value) +
-                " " + base.unit + " (baseline " + FormatDouble(base.value) + ")");
-        continue;
-      }
-      rel = base.value / cur.value - 1.0;
-    } else {
-      rel = (cur.value - base.value) / std::fabs(base.value);
-    }
+    const double rel = HigherIsBetter(base.unit)
+                           ? base.value / cur.value - 1.0
+                           : (cur.value - base.value) / std::fabs(base.value);
     if (rel <= base.tolerance) {
       continue;  // Within budget (improvements land here too).
     }

@@ -13,7 +13,9 @@
 //                    rates — so a halved rate and a doubled latency both read 100%.
 //                    Regressions above the metric's own tolerance warn; above
 //                    max(tolerance, DiffOptions::fail_above) they fail. Improvements
-//                    never fail.
+//                    never fail, but a value at or below zero against a positive
+//                    baseline (or any rate at or below zero) fails as collapsed: the
+//                    metric stopped being measured.
 //   - meta "workload" differing between baseline and current skips the whole report
 //    (with a note) — a dev run with different bench arguments is not a regression.
 //
