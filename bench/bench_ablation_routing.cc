@@ -107,14 +107,7 @@ void IsolationAblation(BenchReport* report) {
         901, [&, i](const NodeId& key, Message&, HostId) {
           ++flat_total;
           // "Key's site" = site of the node that will own it.
-          PastryNode* owner = flat.pastry->ClosestLiveNode(key);
-          size_t owner_index = 0;
-          for (size_t j = 0; j < flat.pastry->size(); ++j) {
-            if (&flat.pastry->node(j) == owner) {
-              owner_index = j;
-            }
-          }
-          if (owner_index % 4 != i % 4) {
+          if (flat.pastry->ClosestLiveNode(key)->host() % 4 != i % 4) {
             ++flat_cross;
           }
           return true;

@@ -50,7 +50,7 @@ Timing MeasureTree(size_t n, int bits_per_digit, uint64_t seed, double latency_l
       "pubsub.aggregate.latency_ms", Histogram::DefaultLatencyBoundsMs());
   aggregation.Reset();
   bool root_done = false;
-  stack.forest->scribe(root).SetOnRootAggregate(
+  stack.forest->SetOnRootAggregate(
       [&](const NodeId&, uint64_t, const AggregationPiece& total) {
         CHECK_EQ(total.count, stack.forest->size());
         root_done = true;

@@ -2,7 +2,7 @@
 //
 // Every bench in this repository is a set of self-contained trials: each builds its own
 // Simulator/Network/engine world from a numeric seed and returns plain values. Because
-// the observability globals (tracer, metrics registry, logger time source) are
+// the observability globals (tracer, metrics registry, virtual clock) are
 // thread-local and trials derive ALL randomness from their seed, trials can run on any
 // thread in any order and still produce bit-identical results — ParallelFor only decides
 // wall-clock scheduling, never outcomes. Results are written by trial index, so the

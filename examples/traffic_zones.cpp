@@ -104,10 +104,9 @@ int main() {
   // Demonstrate a cross-country broadcast through the spanning tree.
   const size_t root = forest.RootOf(wide_app);
   size_t reached = 0;
-  for (size_t i = 0; i < forest.size(); ++i) {
-    forest.scribe(i).SetOnBroadcast(
-        [&](const NodeId&, uint64_t, const ScribeBroadcast&) { ++reached; });
-  }
+  forest.SetOnBroadcast([&](HostId, const NodeId&, uint64_t, const ScribeBroadcast&) {
+    ++reached;
+  });
   forest.scribe(root).Broadcast(wide_app, 1, std::make_shared<int>(0), 50000);
   sim.Run();
   std::printf("model broadcast from master (node %zu) reached %zu/%zu subscribers\n", root,

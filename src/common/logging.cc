@@ -14,7 +14,7 @@ LogLevel g_level = LogLevel::kWarn;
 // value and g_env_override marks it active.
 bool g_env_override = false;
 LogLevel g_env_level = LogLevel::kWarn;
-thread_local const double* g_time_source = nullptr;  // Per-thread: one simulator per thread.
+thread_local const double* g_virtual_clock = nullptr;  // Per-thread: one simulator per thread.
 
 const char* LevelName(LogLevel level) {
   switch (level) {
@@ -93,16 +93,16 @@ bool InitLogLevelFromEnv() {
   return false;
 }
 
-void SetLogTimeSource(const double* now_ms) { g_time_source = now_ms; }
+void SetVirtualClock(const double* now_ms) { g_virtual_clock = now_ms; }
 
-const double* GetLogTimeSource() { return g_time_source; }
+const double* VirtualClock() { return g_virtual_clock; }
 
 void Logf(LogLevel level, const char* fmt, ...) {
   if (level < EffectiveLevel()) {
     return;
   }
-  if (g_time_source != nullptr) {
-    std::fprintf(stderr, "[%s t=%.3f] ", LevelName(level), *g_time_source);
+  if (g_virtual_clock != nullptr) {
+    std::fprintf(stderr, "[%s t=%.3f] ", LevelName(level), *g_virtual_clock);
   } else {
     std::fprintf(stderr, "[%s] ", LevelName(level));
   }

@@ -23,10 +23,12 @@ LogLevel GetLogLevel();
 // present and valid.
 bool InitLogLevelFromEnv();
 
-// Registers the active simulator's virtual clock (ms). When set, every log line is
-// prefixed with the current virtual time. The Simulator constructor registers itself.
-void SetLogTimeSource(const double* now_ms);
-const double* GetLogTimeSource();
+// The thread's virtual clock (ms): the `now` of the simulator that runs on this thread.
+// Log lines are prefixed with it and trace spans are stamped with it (src/obs/trace.h).
+// The Simulator constructor registers its clock, and each K>1 worker its shard's; null
+// when none is registered.
+void SetVirtualClock(const double* now_ms);
+const double* VirtualClock();
 
 // printf-style logging; drops messages below the global level.
 void Logf(LogLevel level, const char* fmt, ...) __attribute__((format(printf, 2, 3)));

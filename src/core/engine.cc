@@ -83,18 +83,18 @@ TotoroEngine::TotoroEngine(Forest* forest, ComputeModel compute, uint64_t seed)
   series_.round_duration =
       &metrics.GetHistogram("engine.round.duration_ms", Histogram::DefaultLatencyBoundsMs());
   speed_factors_.assign(forest_->size(), 1.0);
-  // One set of callbacks per scribe node; dispatch on topic inside the engine.
+  // One set of upcalls for the forest; dispatch on topic inside the engine.
+  forest_->SetOnBroadcast(
+      [this](HostId host, const NodeId& topic, uint64_t round, const ScribeBroadcast& bc) {
+        OnBroadcast(host, topic, round, bc);
+      });
+  forest_->SetOnRootAggregate(
+      [this](const NodeId& topic, uint64_t round, const AggregationPiece& total) {
+        OnRootAggregate(topic, round, total);
+      });
   for (size_t i = 0; i < forest_->size(); ++i) {
     ScribeNode& scribe = forest_->scribe(i);
     scribe.SetCombineFn(MakeFedAvgCombiner());
-    scribe.SetOnBroadcast([this, i](const NodeId& topic, uint64_t round,
-                                    const ScribeBroadcast& bc) {
-      OnBroadcast(i, topic, round, bc);
-    });
-    scribe.SetOnRootAggregate(
-        [this](const NodeId& topic, uint64_t round, const AggregationPiece& total) {
-          OnRootAggregate(topic, round, total);
-        });
     scribe.pastry().SetDeliverHandler(
         kFlAsyncUpdate,
         [this](const NodeId& key, const Message& msg, int) { OnAsyncUpdate(key, msg); });
@@ -228,26 +228,21 @@ NodeId TotoroEngine::LaunchApp(const FlAppConfig& config, const std::vector<size
   }
   if (config.secure_aggregation) {
     // Pairwise masking needs a cohort of at least two, and interior nodes must SUM
-    // masked vectors instead of averaging them — install the per-topic combiner on
-    // every node that could end up inside this application's tree.
+    // masked vectors instead of averaging them — the tree's combiner for this topic.
     CHECK(!config.async.has_value());
     CHECK_GE(workers.size(), 2u);
     CHECK_NE(config.participants_per_round, 1u);
     app->secure_seed = rng_.Next();
-    for (size_t i = 0; i < forest_->size(); ++i) {
-      forest_->scribe(i).SetCombineFnForTopic(topic, MakeSecureSumCombiner());
-    }
+    forest_->SetCombineFnForTopic(topic, MakeSecureSumCombiner());
   }
   if (config.robust.rule != RobustAggregation::kNone) {
-    // Robust rules are not associative, so the tree cannot fold hop by hop: every node
-    // that could end up inside this application's tree collects individual updates
-    // instead (id-sorted, so the root's list is arrival-order independent) and the root
-    // applies the reduction once in OnRootAggregate.
+    // Robust rules are not associative, so the tree cannot fold hop by hop: every hop
+    // of this application's tree collects individual updates instead (id-sorted, so
+    // the root's list is arrival-order independent) and the root applies the reduction
+    // once in OnRootAggregate.
     CHECK(!config.async.has_value());
     CHECK(!config.secure_aggregation);
-    for (size_t i = 0; i < forest_->size(); ++i) {
-      forest_->scribe(i).SetCombineFnForTopic(topic, MakeCollectCombiner());
-    }
+    forest_->SetCombineFnForTopic(topic, MakeCollectCombiner());
   }
   switch (config.selection) {
     case SelectionPolicy::kAll:

@@ -28,21 +28,18 @@ void Totoro::BuildOverlay() {
   rings_->Build(rng_);
   forest_ = std::make_unique<Forest>(&rings_->pastry(), options_.scribe);
   overlay_built_ = true;
-  for (size_t i = 0; i < forest_->size(); ++i) {
-    ScribeNode& scribe = forest_->scribe(i);
-    scribe.SetOnBroadcast([this, i](const NodeId& app_id, uint64_t round,
-                                    const ScribeBroadcast& bc) {
-      if (on_broadcast_) {
-        on_broadcast_(i, app_id, round, bc.data);
-      }
-    });
-    scribe.SetOnRootAggregate(
-        [this](const NodeId& app_id, uint64_t round, const AggregationPiece& total) {
-          if (on_aggregate_) {
-            on_aggregate_(app_id, round, total.data, total.weight);
-          }
-        });
-  }
+  forest_->SetOnBroadcast(
+      [this](HostId host, const NodeId& app_id, uint64_t round, const ScribeBroadcast& bc) {
+        if (on_broadcast_) {
+          on_broadcast_(host, app_id, round, bc.data);
+        }
+      });
+  forest_->SetOnRootAggregate(
+      [this](const NodeId& app_id, uint64_t round, const AggregationPiece& total) {
+        if (on_aggregate_) {
+          on_aggregate_(app_id, round, total.data, total.weight);
+        }
+      });
 }
 
 NodeId Totoro::CreateTree(const std::string& app_name) {

@@ -15,7 +15,6 @@ PastryNetwork::PastryNetwork(Network* net, PastryConfig config) : net_(net), con
 
 void PastryNetwork::Reserve(size_t num_nodes) {
   nodes_.reserve(num_nodes);
-  by_host_.reserve(net_->num_hosts() + num_nodes);
   by_id_.reserve(num_nodes);
   net_->ReserveHosts(num_nodes);
 }
@@ -23,10 +22,11 @@ void PastryNetwork::Reserve(size_t num_nodes) {
 size_t PastryNetwork::AddNode(NodeId id) {
   CHECK(by_id_.find(id) == by_id_.end());
   auto node = std::make_unique<PastryNode>(net_, id, config_);
-  if (by_host_.size() <= node->host()) {
-    by_host_.resize(node->host() + size_t{1}, nullptr);
+  if (node->host() != nodes_.size()) {
+    CheckFailed(__FILE__, __LINE__,
+                "PastryNetwork: a node's index must equal its HostId; add no host but "
+                "Pastry nodes to the Network an overlay runs on");
   }
-  by_host_[node->host()] = node.get();
   by_id_[id] = node.get();
   nodes_.push_back(std::move(node));
   return nodes_.size() - 1;
@@ -38,10 +38,6 @@ size_t PastryNetwork::AddRandomNode(Rng& rng) {
     id = RandomNodeId(rng);
   }
   return AddNode(id);
-}
-
-PastryNode* PastryNetwork::FindByHost(HostId host) {
-  return host < by_host_.size() ? by_host_[host] : nullptr;
 }
 
 PastryNode* PastryNetwork::FindById(const NodeId& id) {

@@ -31,7 +31,8 @@ class PastryNetwork {
   PastryNetwork& operator=(const PastryNetwork&) = delete;
 
   // Creates a node with the given id (or a random one) and registers it with the
-  // network. Returns its index (see node()).
+  // network. Returns its index (see node()), which is its HostId: the Network must hold
+  // no other hosts, or AddNode CHECK-fails.
   size_t AddNode(NodeId id);
   size_t AddRandomNode(Rng& rng);
 
@@ -39,11 +40,11 @@ class PastryNetwork {
   // topology whose final size is known (benches, 100k-node scale runs).
   void Reserve(size_t num_nodes);
 
-  PastryNode& node(size_t i) { return *nodes_[i]; }
-  const PastryNode& node(size_t i) const { return *nodes_[i]; }
+  // The node of host `host` (= its index).
+  PastryNode& node(HostId host) { return *nodes_[host]; }
+  const PastryNode& node(HostId host) const { return *nodes_[host]; }
   size_t size() const { return nodes_.size(); }
 
-  PastryNode* FindByHost(HostId host);
   PastryNode* FindById(const NodeId& id);
 
   // Installs converged routing state into every node from global knowledge, drawing
@@ -76,10 +77,7 @@ class PastryNetwork {
 
   Network* net_;
   PastryConfig config_;
-  std::vector<std::unique_ptr<PastryNode>> nodes_;
-  // Indexed by host id (Network::AddHost hands them out densely); null for hosts that
-  // are not this overlay's nodes.
-  std::vector<PastryNode*> by_host_;
+  std::vector<std::unique_ptr<PastryNode>> nodes_;  // Indexed by HostId.
   std::unordered_map<U128, PastryNode*, U128Hash> by_id_;
 };
 

@@ -81,15 +81,7 @@ void FaultInjector::Schedule(const FaultScript& script) {
 }
 
 ScribeNode* FaultInjector::ScribeForHost(HostId host) const {
-  if (forest_ == nullptr) {
-    return nullptr;
-  }
-  for (size_t i = 0; i < forest_->size(); ++i) {
-    if (forest_->scribe(i).host() == host) {
-      return &forest_->scribe(i);
-    }
-  }
-  return nullptr;
+  return forest_ != nullptr && host < forest_->size() ? &forest_->scribe(host) : nullptr;
 }
 
 HostId FaultInjector::BootstrapFor(HostId host) const {
@@ -154,15 +146,14 @@ void FaultInjector::ApplyNow(const FaultEvent& ev) {
         return;
       }
       net->SetHostUp(ev.host, true);
-      PastryNode* node = pastry_->FindByHost(ev.host);
-      CHECK(node != nullptr);
+      PastryNode& node = pastry_->node(ev.host);
       const HostId bootstrap = BootstrapFor(ev.host);
       if (bootstrap != kInvalidHost) {
-        node->Join(bootstrap);
+        node.Join(bootstrap);
       }
       // Periodic drivers noticed the death and stopped; restart them (no-ops when the
       // corresponding feature is disabled in config).
-      node->StartKeepAlive();
+      node.StartKeepAlive();
       if (ScribeNode* scribe = ScribeForHost(ev.host); scribe != nullptr) {
         scribe->StartMaintenance();
       }

@@ -129,6 +129,7 @@ class FaultInjector {
   bool PerturbMatches(const ActivePerturb& p, const Message& msg) const;
   // Deterministic bootstrap choice for a rejoining host: lowest live host id != host.
   HostId BootstrapFor(HostId host) const;
+  // The host's ScribeNode; null without a forest or for a host that joined after it.
   ScribeNode* ScribeForHost(HostId host) const;
 
   PastryNetwork* pastry_;

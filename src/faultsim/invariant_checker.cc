@@ -9,6 +9,8 @@
 namespace totoro {
 namespace {
 
+constexpr double kCheckIntervalMs = 500.0;  // Periodic check cadence (Start()).
+
 Counter& ChecksCounter() {
   static thread_local Counter* c = &GlobalMetrics().GetCounter("faultsim.invariant.checks");
   return *c;
@@ -36,12 +38,10 @@ void InvariantChecker::WatchTopic(const NodeId& topic) {
   max_subscribers_.push_back(0);
   if (!audit_installed_) {
     audit_installed_ = true;
-    for (size_t i = 0; i < forest_->size(); ++i) {
-      forest_->scribe(i).SetAggregateAudit(
-          [this](const NodeId& t, uint64_t round, const AggregationPiece& total) {
-            OnRootAggregate(t, round, total.count);
-          });
-    }
+    forest_->SetAggregateAudit(
+        [this](const NodeId& t, uint64_t round, const AggregationPiece& total) {
+          OnRootAggregate(t, round, total.count);
+        });
   }
 }
 
@@ -50,7 +50,7 @@ void InvariantChecker::Start() {
     return;
   }
   running_ = true;
-  pending_ = pastry_->network()->sim()->Schedule(config_.interval_ms, [this]() { Tick(); });
+  pending_ = pastry_->network()->sim()->Schedule(kCheckIntervalMs, [this]() { Tick(); });
 }
 
 void InvariantChecker::Stop() {
@@ -72,7 +72,7 @@ void InvariantChecker::Tick() {
   if (quiet) {
     CheckConverged();
   }
-  pending_ = pastry_->network()->sim()->Schedule(config_.interval_ms, [this]() { Tick(); });
+  pending_ = pastry_->network()->sim()->Schedule(kCheckIntervalMs, [this]() { Tick(); });
 }
 
 void InvariantChecker::Violate(const char* invariant, std::string detail) {
@@ -117,10 +117,8 @@ void InvariantChecker::CheckNow() {
   ++checks_run_;
   ChecksCounter().Increment();
   UpdateSubscriberHighWater();
-  if (config_.check_trees) {
-    for (const NodeId& topic : topics_) {
-      CheckSafetyTree(topic);
-    }
+  for (const NodeId& topic : topics_) {
+    CheckSafetyTree(topic);
   }
 }
 
@@ -138,26 +136,15 @@ void InvariantChecker::CheckSafetyTree(const NodeId& topic) {
 }
 
 void InvariantChecker::CheckConverged() {
-  if (config_.check_trees) {
-    for (const NodeId& topic : topics_) {
-      CheckConvergedTree(topic);
-    }
+  for (const NodeId& topic : topics_) {
+    CheckConvergedTree(topic);
   }
-  if (config_.check_leaf_sets && pastry_->config().enable_keepalive) {
+  if (pastry_->config().enable_keepalive) {  // Leaf sets converge only with keep-alives.
     CheckLeafSets();
   }
 }
 
 void InvariantChecker::CheckConvergedTree(const NodeId& topic) {
-  // Host -> scribe lookup for parent-pointer walks.
-  std::vector<const ScribeNode*> by_host(pastry_->network()->num_hosts(), nullptr);
-  for (size_t i = 0; i < forest_->size(); ++i) {
-    const ScribeNode& s = forest_->scribe(i);
-    if (s.host() < by_host.size()) {
-      by_host[s.host()] = &s;
-    }
-  }
-
   // Acyclicity: every live in-tree node's parent chain must terminate within N hops.
   const size_t limit = forest_->size() + 1;
   for (size_t i = 0; i < forest_->size(); ++i) {
@@ -172,7 +159,7 @@ void InvariantChecker::CheckConvergedTree(const NodeId& topic) {
       if (parent == kInvalidHost) {
         break;  // Detached (allowed to be mid-rejoin even at convergence gates).
       }
-      cur = parent < by_host.size() ? by_host[parent] : nullptr;
+      cur = parent < forest_->size() ? &forest_->scribe(parent) : nullptr;
       ++steps;
     }
     if (steps > limit) {

@@ -2,7 +2,7 @@
 //
 // Two classes of invariants:
 //
-//  Safety (checked every interval, fault or no fault):
+//  Safety (checked every 500 virtual ms, fault or no fault):
 //   - No node is its own tree parent (self-loop).
 //   - No aggregation round double-counts: the root total's contribution count never
 //     exceeds the topic's subscriber high-water mark (event-driven via the Scribe
@@ -31,10 +31,7 @@
 namespace totoro {
 
 struct InvariantCheckerConfig {
-  double interval_ms = 500.0;           // Periodic check cadence (Start()).
   double convergence_grace_ms = 2000.0; // Quiet time before eventual checks apply.
-  bool check_leaf_sets = true;          // Effective only with keep-alives enabled.
-  bool check_trees = true;
 };
 
 struct InvariantViolation {
@@ -53,7 +50,7 @@ class InvariantChecker {
   InvariantChecker& operator=(const InvariantChecker&) = delete;
 
   // Registers a topic whose tree/aggregation invariants are checked. Installs the
-  // aggregate-audit hook on every scribe the first time a topic is watched.
+  // forest's aggregate-audit hook the first time a topic is watched.
   void WatchTopic(const NodeId& topic);
 
   // Ground truth source for "is the run quiet" gating; optional (without it eventual

@@ -10,8 +10,12 @@
 
 namespace totoro {
 
-double MeasureRecovery(Forest* forest, const NodeId& topic,
-                       const RecoveryProbeConfig& config) {
+double MeasureRecovery(Forest* forest, const NodeId& topic) {
+  constexpr double kProbeIntervalMs = 100.0;  // One probe round per interval.
+  constexpr double kTimeoutMs = 20000.0;      // Give up after this much virtual time.
+  // Probe rounds start here, far above application rounds so closed-round bookkeeping
+  // in the tree never confuses a probe for a stale FL round.
+  constexpr uint64_t kRoundBase = 1000000000ull;
   CHECK(forest != nullptr);
   Simulator* sim = forest->pastry().network()->sim();
   const SimTime start = sim->Now();
@@ -24,22 +28,18 @@ double MeasureRecovery(Forest* forest, const NodeId& topic,
     std::map<uint64_t, std::unordered_set<HostId>> got;
   };
   auto state = std::make_shared<ProbeState>();
-  for (size_t i = 0; i < forest->size(); ++i) {
-    ScribeNode& scribe = forest->scribe(i);
-    const HostId host = scribe.host();
-    scribe.SetOnBroadcast([state, host](const NodeId&, uint64_t round,
-                                        const ScribeBroadcast&) {
-      state->got[round].insert(host);
-    });
-  }
+  forest->SetOnBroadcast(
+      [state](HostId host, const NodeId&, uint64_t round, const ScribeBroadcast&) {
+        state->got[round].insert(host);
+      });
 
   // The recipients each probe must reach: subscribers live at its publish time.
   std::map<uint64_t, std::vector<HostId>> expected;
   double result = -1.0;
-  for (uint64_t attempt = 0; sim->Now() - start <= config.timeout_ms; ++attempt) {
+  for (uint64_t attempt = 0; sim->Now() - start <= kTimeoutMs; ++attempt) {
     const size_t root = forest->RootOf(topic);
     if (root != SIZE_MAX) {
-      const uint64_t round = config.round_base + attempt;
+      const uint64_t round = kRoundBase + attempt;
       auto& recipients = expected[round];
       for (size_t i = 0; i < forest->size(); ++i) {
         const ScribeNode& s = forest->scribe(i);
@@ -49,7 +49,7 @@ double MeasureRecovery(Forest* forest, const NodeId& topic,
       }
       forest->scribe(root).Broadcast(topic, round, nullptr, /*size_bytes=*/64);
     }
-    sim->RunFor(config.probe_interval_ms);
+    sim->RunFor(kProbeIntervalMs);
     for (const auto& [round, recipients] : expected) {
       if (recipients.empty()) {
         continue;

@@ -7,8 +7,8 @@
 // "first-publish-reaches-all-subscribers" recovery metric. The result is also exported
 // as the `faultsim.recovery.post_heal_ms` gauge.
 //
-// Harness-only: it overwrites every scribe's OnBroadcast callback, so do not call it
-// while a TotoroEngine drives the same forest.
+// Harness-only: it overwrites the forest's OnBroadcast upcall, so do not call it while
+// a TotoroEngine drives the same forest.
 #ifndef SRC_FAULTSIM_RECOVERY_H_
 #define SRC_FAULTSIM_RECOVERY_H_
 
@@ -16,17 +16,8 @@
 
 namespace totoro {
 
-struct RecoveryProbeConfig {
-  double probe_interval_ms = 100.0;  // One probe round per interval.
-  double timeout_ms = 20000.0;       // Give up after this much virtual time.
-  // Probe rounds start here, far above application rounds so closed-round bookkeeping
-  // in the tree never confuses a probe for a stale FL round.
-  uint64_t round_base = 1000000000ull;
-};
-
 // Returns virtual ms until full delivery, or a negative value on timeout.
-double MeasureRecovery(Forest* forest, const NodeId& topic,
-                       const RecoveryProbeConfig& config = {});
+double MeasureRecovery(Forest* forest, const NodeId& topic);
 
 }  // namespace totoro
 

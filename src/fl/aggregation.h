@@ -45,7 +45,7 @@ struct UpdateListPayload {
 };
 
 // CombineFn that merges UpdateListPayload pieces by id-sorted concatenation. Installed
-// per topic (ScribeNode::SetCombineFnForTopic) exactly like the secure-sum combiner.
+// per topic (Forest::SetCombineFnForTopic) exactly like the secure-sum combiner.
 // Null-data pieces (unselected workers' acks) are skipped. Duplicate ids are rejected
 // with a CHECK — the closed-round guards upstream must prevent double submission.
 CombineFn MakeCollectCombiner();

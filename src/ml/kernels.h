@@ -11,9 +11,10 @@
 // committed bench fingerprints (bit-exact per seed) stay unchanged; the parity tests in
 // tests/kernels_test.cc enforce it at every dispatch level.
 //
-// Reductions that would reassociate under vectorization (the sequential float Dot used
-// by backprop's MulMatT, softmax's exp-sum) stay sequential, and so does softmax's row
-// max, which is exact in any order but too short to be worth vectorizing.
+// Reductions that would reassociate under vectorization (softmax's exp-sum) stay
+// sequential, and so does softmax's row max, which is exact in any order but too short
+// to be worth vectorizing. Backprop's MulMatT reduces nothing: it accumulates each
+// output with axpys over a transposed copy of b, in ascending order (tensor.cc).
 //
 // Dispatch is resolved once at startup: AVX2 when the CPU has it, else scalar;
 // overridable with the TOTORO_SIMD env knob (scalar|avx2) or SetSimdLevelForTest().

@@ -153,15 +153,6 @@ void Axpy(float alpha, std::span<const float> x, std::span<float> y) {
   KAxpy(alpha, x.data(), y.data(), x.size());
 }
 
-float Dot(std::span<const float> a, std::span<const float> b) {
-  CHECK_EQ(a.size(), b.size());
-  float acc = 0.0f;
-  for (size_t i = 0; i < a.size(); ++i) {
-    acc += a[i] * b[i];
-  }
-  return acc;
-}
-
 void Scale(std::span<float> x, float alpha) { KScale(x.data(), alpha, x.size()); }
 
 void ReluInPlace(Matrix& m) { KRelu(m.data().data(), m.data().size()); }

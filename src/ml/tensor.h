@@ -56,7 +56,6 @@ void MulMatT(const Matrix& a, const Matrix& b, Matrix& out, Matrix& bt_scratch);
 
 // y += alpha * x (sizes must match).
 void Axpy(float alpha, std::span<const float> x, std::span<float> y);
-float Dot(std::span<const float> a, std::span<const float> b);
 void Scale(std::span<float> x, float alpha);
 
 // In-place ReLU and its backward mask application: grad *= (activation > 0).

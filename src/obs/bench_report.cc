@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cinttypes>
-#include <cstdarg>
 #include <cstdio>
 
 #include "src/common/check.h"
@@ -22,20 +21,6 @@ bool ValidReportName(const std::string& name) {
   return std::all_of(name.begin(), name.end(), [](char c) {
     return (c >= 'a' && c <= 'z') || (c >= '0' && c <= '9') || c == '_';
   });
-}
-
-void AppendF(std::string* out, const char* fmt, ...) __attribute__((format(printf, 2, 3)));
-
-void AppendF(std::string* out, const char* fmt, ...) {
-  char buffer[256];
-  va_list args;
-  va_start(args, fmt);
-  const int n = std::vsnprintf(buffer, sizeof(buffer), fmt, args);
-  va_end(args);
-  if (n > 0) {
-    out->append(buffer,
-                static_cast<size_t>(std::min(n, static_cast<int>(sizeof(buffer) - 1))));
-  }
 }
 
 }  // namespace

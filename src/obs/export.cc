@@ -12,19 +12,6 @@
 namespace totoro {
 namespace {
 
-void AppendF(std::string* out, const char* fmt, ...) __attribute__((format(printf, 2, 3)));
-
-void AppendF(std::string* out, const char* fmt, ...) {
-  char buffer[256];
-  va_list args;
-  va_start(args, fmt);
-  const int n = std::vsnprintf(buffer, sizeof(buffer), fmt, args);
-  va_end(args);
-  if (n > 0) {
-    out->append(buffer, static_cast<size_t>(std::min(n, static_cast<int>(sizeof(buffer) - 1))));
-  }
-}
-
 // Numbers must stay valid JSON: NaN/inf have no literal, so clamp them.
 void AppendJsonNumber(std::string* out, double value) {
   if (std::isnan(value)) {
@@ -51,6 +38,17 @@ void AppendArgs(std::string* out, const SpanRecord& span) {
 }
 
 }  // namespace
+
+void AppendF(std::string* out, const char* fmt, ...) {
+  char buffer[256];
+  va_list args;
+  va_start(args, fmt);
+  const int n = std::vsnprintf(buffer, sizeof(buffer), fmt, args);
+  va_end(args);
+  if (n > 0) {
+    out->append(buffer, static_cast<size_t>(std::min(n, static_cast<int>(sizeof(buffer) - 1))));
+  }
+}
 
 std::string JsonEscape(const std::string& s) {
   std::string out;

@@ -44,6 +44,9 @@ bool WriteStringToFile(const std::string& path, const std::string& content);
 // Escapes a string for embedding in a JSON string literal (quotes not included).
 std::string JsonEscape(const std::string& s);
 
+// Appends printf-style output to `out`, truncated at 255 bytes.
+void AppendF(std::string* out, const char* fmt, ...) __attribute__((format(printf, 2, 3)));
+
 }  // namespace totoro
 
 #endif  // SRC_OBS_EXPORT_H_

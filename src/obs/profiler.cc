@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cinttypes>
-#include <cstdarg>
 #include <cstdio>
 #include <functional>
 
@@ -28,20 +27,6 @@ bool ValidPhaseName(const char* name) {
     }
   }
   return true;
-}
-
-void AppendF(std::string* out, const char* fmt, ...) __attribute__((format(printf, 2, 3)));
-
-void AppendF(std::string* out, const char* fmt, ...) {
-  char buffer[256];
-  va_list args;
-  va_start(args, fmt);
-  const int n = std::vsnprintf(buffer, sizeof(buffer), fmt, args);
-  va_end(args);
-  if (n > 0) {
-    out->append(buffer,
-                static_cast<size_t>(std::min(n, static_cast<int>(sizeof(buffer) - 1))));
-  }
 }
 
 }  // namespace
@@ -74,12 +59,7 @@ void Profiler::Enter(const char* name) {
   CHECK(ValidPhaseName(name));
   const size_t parent = stack_.empty() ? 0 : stack_.back().node;
   const size_t node = ChildNode(parent, name);
-  Frame frame;
-  frame.node = node;
-  frame.wall_start = WallSeconds();
-  frame.virtual_start = clock_ != nullptr ? *clock_ : 0.0;
-  frame.events_start = events_ != nullptr ? *events_ : 0;
-  stack_.push_back(frame);
+  stack_.push_back(Frame{node, WallSeconds()});
 }
 
 void Profiler::Exit() {
@@ -89,11 +69,12 @@ void Profiler::Exit() {
   PhaseStats& stats = nodes_[frame.node].stats;
   stats.calls += 1;
   stats.wall_seconds += WallSeconds() - frame.wall_start;
-  if (clock_ != nullptr) {
-    stats.virtual_ms += *clock_ - frame.virtual_start;
-  }
-  if (events_ != nullptr) {
-    stats.events += *events_ - frame.events_start;
+}
+
+void Profiler::AddRun(double virtual_ms, uint64_t events) {
+  for (const Frame& frame : stack_) {
+    nodes_[frame.node].stats.virtual_ms += virtual_ms;
+    nodes_[frame.node].stats.events += events;
   }
 }
 

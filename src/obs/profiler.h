@@ -7,13 +7,14 @@
 //
 //   wall_seconds  wall-clock time inside the phase (nondeterministic; never exported to
 //                 the metrics registry, only to ReportText/ToJson/Chrome trace)
-//   virtual_ms    simulated-time advance inside the phase (deterministic)
-//   events        simulator events fired inside the phase (deterministic)
+//   virtual_ms    simulated-time advance of the runs inside the phase (deterministic)
+//   events        simulator events fired by the runs inside the phase (deterministic)
 //   calls         times the phase was entered (deterministic)
 //
-// The virtual clock and event counter are registered by the Simulator constructor,
-// exactly like the tracer's clock source; phases that never wrap a Simulator::Run
-// simply read zero deltas for both.
+// The profiler reads no clock but its wall clock. Each Simulator run (Run, RunUntil)
+// adds the events it fired and its virtual-clock advance to every phase open on the
+// calling thread when it ends (AddRun), so a phase counts exactly the runs it encloses,
+// of however many simulators; a phase that encloses no run reads zero for both.
 //
 // The library opens one scope per layer boundary, never on a per-event path:
 // `oracle_build` (PastryNetwork::BuildOracle), `forest_build` (Forest's constructor),
@@ -80,12 +81,9 @@ class Profiler {
   // Enabling mid-run is allowed; already-open scopes entered while disabled stay inert.
   void SetEnabled(bool on) { enabled_ = on; }
 
-  // Registers the virtual clock (the simulator's `now`, virtual ms) and the fired-event
-  // counter. The Simulator constructor registers both; deltas read 0 when unset.
-  void SetClockSource(const double* now_ms) { clock_ = now_ms; }
-  const double* clock_source() const { return clock_; }
-  void SetEventCountSource(const uint64_t* events_fired) { events_ = events_fired; }
-  const uint64_t* event_count_source() const { return events_; }
+  // Adds one simulator run's virtual-clock advance and fired events to every open
+  // phase. The Simulator calls it at the end of each run, on the thread that ran it.
+  void AddRun(double virtual_ms, uint64_t events);
 
   // --- Phase tree access ---
   // nodes()[0] is the synthetic root; its stats stay zero.
@@ -108,8 +106,7 @@ class Profiler {
   // Machine-readable snapshot: every phase with all four fields.
   std::string ToJson() const;
 
-  // Drops all phases (open scopes must be closed first); keeps enabled state and
-  // sources.
+  // Drops all phases (open scopes must be closed first); keeps the enabled state.
   void Reset();
 
   // Index into nodes() of the innermost open phase; 0 (the root) when none is open.
@@ -132,8 +129,6 @@ class Profiler {
   struct Frame {
     size_t node = 0;
     double wall_start = 0.0;
-    double virtual_start = 0.0;
-    uint64_t events_start = 0;
   };
 
   // Slow paths behind ProfileScope's inline enabled-check.
@@ -142,8 +137,6 @@ class Profiler {
   double WallSeconds() const;
 
   bool enabled_ = false;
-  const double* clock_ = nullptr;
-  const uint64_t* events_ = nullptr;
   std::chrono::steady_clock::time_point epoch_;
   std::vector<PhaseNode> nodes_;
   std::vector<Frame> stack_;

@@ -1,8 +1,14 @@
 #include "src/obs/trace.h"
 
 #include "src/common/check.h"
+#include "src/common/logging.h"
 
 namespace totoro {
+
+double Tracer::NowMs() {
+  const double* clock = VirtualClock();
+  return clock != nullptr ? *clock : 0.0;
+}
 
 TraceSpan::TraceSpan(TraceSpan&& other) noexcept
     : tracer_(other.tracer_), record_(std::move(other.record_)) {

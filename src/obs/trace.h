@@ -7,6 +7,9 @@
 // round exports as one connected tree loadable in chrome://tracing / Perfetto (see
 // export.h).
 //
+// Spans are stamped with the thread's virtual clock (VirtualClock() in
+// src/common/logging.h, which the Simulator registers); they read 0 outside a simulator.
+//
 // Propagation model (single-threaded simulator):
 //  - `TraceSpan` (RAII) opens a span and pushes its context onto the tracer's scope
 //    stack; anything started inside the scope — nested spans, messages sent through
@@ -108,11 +111,9 @@ class Tracer {
   // Enabling/disabling never discards already-recorded spans.
   void SetEnabled(bool on) { enabled_ = on; }
 
-  // Registers the active virtual clock (the simulator's `now`, in virtual ms). The
-  // Simulator constructor registers itself; NowMs() reads 0 when none is registered.
-  void SetClockSource(const double* now_ms) { clock_ = now_ms; }
-  const double* clock_source() const { return clock_; }
-  double NowMs() const { return clock_ != nullptr ? *clock_ : 0.0; }
+  // The thread's virtual clock (VirtualClock() in src/common/logging.h), or 0 when no
+  // simulator registered one.
+  static double NowMs();
 
   // The innermost open scope, or an invalid context.
   TraceContext current() const { return scope_.empty() ? TraceContext{} : scope_.back(); }
@@ -238,7 +239,6 @@ class Tracer {
   void PopScope() { scope_.pop_back(); }
 
   bool enabled_ = false;
-  const double* clock_ = nullptr;
   uint64_t next_trace_id_ = 1;
   uint64_t next_span_id_ = 1;
   uint64_t id_base_ = 0;
@@ -248,8 +248,8 @@ class Tracer {
 };
 
 // The thread-wide tracer. The simulation is single-threaded by design; one tracer per
-// thread serves whichever of that thread's simulators is registered as the clock
-// source, and parallel bench trials on worker threads each get an isolated span sink.
+// thread serves whichever of that thread's simulators registered the thread's virtual
+// clock, and parallel bench trials on worker threads each get an isolated span sink.
 Tracer& GlobalTracer();
 
 }  // namespace totoro

@@ -2,7 +2,6 @@
 
 #include <deque>
 #include <string>
-#include <unordered_map>
 #include <unordered_set>
 
 #include "src/common/check.h"
@@ -11,11 +10,12 @@
 
 namespace totoro {
 
-Forest::Forest(PastryNetwork* pastry, ScribeConfig config) : pastry_(pastry) {
+Forest::Forest(PastryNetwork* pastry, ScribeConfig config)
+    : pastry_(pastry), config_(config) {
   ProfileScope profile_scope("forest_build");
   scribes_.reserve(pastry_->size());
   for (size_t i = 0; i < pastry_->size(); ++i) {
-    scribes_.push_back(std::make_unique<ScribeNode>(&pastry_->node(i), config));
+    scribes_.push_back(std::make_unique<ScribeNode>(&pastry_->node(i), *this));
   }
 }
 
@@ -63,9 +63,7 @@ size_t Forest::RootOf(const NodeId& topic) const {
 
 Forest::TreeStats Forest::ComputeStats(const NodeId& topic) const {
   TreeStats stats;
-  std::unordered_map<HostId, size_t> host_to_index;
   for (size_t i = 0; i < scribes_.size(); ++i) {
-    host_to_index[scribes_[i]->host()] = i;
     if (scribes_[i]->InTree(topic)) {
       ++stats.num_members;
     }
@@ -96,12 +94,8 @@ Forest::TreeStats Forest::ComputeStats(const NodeId& topic) const {
       total_children += children.size();
     }
     for (HostId child : children) {
-      auto it = host_to_index.find(child);
-      if (it == host_to_index.end()) {
-        continue;
-      }
-      if (visited.insert(it->second).second) {
-        frontier.emplace_back(it->second, level + 1);
+      if (child < scribes_.size() && visited.insert(child).second) {
+        frontier.emplace_back(child, level + 1);
       }
     }
   }
@@ -127,10 +121,6 @@ std::map<HostId, size_t> Forest::RootsPerHost(const std::vector<NodeId>& topics)
 }
 
 bool Forest::IsFullyConnected(const NodeId& topic) const {
-  std::unordered_map<HostId, size_t> host_to_index;
-  for (size_t i = 0; i < scribes_.size(); ++i) {
-    host_to_index[scribes_[i]->host()] = i;
-  }
   for (size_t i = 0; i < scribes_.size(); ++i) {
     const ScribeNode& scribe = *scribes_[i];
     if (!scribe.IsSubscriber(topic) || !scribe.pastry().alive()) {
@@ -149,14 +139,10 @@ bool Forest::IsFullyConnected(const NodeId& topic) const {
         break;
       }
       const HostId parent = node.ParentOf(topic);
-      if (parent == kInvalidHost) {
-        break;
+      if (parent >= scribes_.size()) {
+        break;  // Detached (kInvalidHost), or a host with no ScribeNode.
       }
-      auto it = host_to_index.find(parent);
-      if (it == host_to_index.end()) {
-        break;
-      }
-      current = it->second;
+      current = parent;
     }
     if (!reached_root) {
       return false;

@@ -4,6 +4,7 @@
 #include <string>
 
 #include "src/common/logging.h"
+#include "src/pubsub/forest.h"
 #include "src/obs/metrics_registry.h"
 #include "src/obs/trace.h"
 
@@ -70,8 +71,8 @@ AggregationPiece DefaultCombine(const std::vector<AggregationPiece>& pieces) {
 
 }  // namespace
 
-ScribeNode::ScribeNode(PastryNode* pastry, ScribeConfig config)
-    : pastry_(pastry), config_(config), batcher_(pastry, config.coalesce_sends),
+ScribeNode::ScribeNode(PastryNode* pastry, const Forest& forest)
+    : pastry_(pastry), forest_(forest), batcher_(pastry, forest.config().coalesce_sends),
       combine_(DefaultCombine) {
   pastry_->SetForwardHandler(kScribeJoin, [this](const NodeId& key, Message& inner,
                                                  HostId next_hop) {
@@ -127,7 +128,7 @@ void ScribeNode::SendJoin(const NodeId& topic, bool direct) {
   state.join_direct = direct;
   state.join_sent_ms = pastry_->net()->sim()->Now();
   if (state.join_backoff_ms <= 0.0) {
-    state.join_backoff_ms = config_.join_retry_ms;
+    state.join_backoff_ms = forest_.config().join_retry_ms;
   }
   Message inner;
   inner.type = kScribeJoin;
@@ -195,7 +196,7 @@ bool ScribeNode::OnJoinForward(const NodeId& key, Message& inner, HostId next_ho
   state.join_direct = false;
   state.join_sent_ms = pastry_->net()->sim()->Now();
   if (state.join_backoff_ms <= 0.0) {
-    state.join_backoff_ms = config_.join_retry_ms;
+    state.join_backoff_ms = forest_.config().join_retry_ms;
   }
   join.child_host = host();
   join.child_id = pastry_->id();
@@ -234,8 +235,8 @@ void ScribeNode::Broadcast(const NodeId& topic, uint64_t round,
   bc.depth = 0;
   if (state.subscribed) {
     BroadcastLatencyHistogram().Observe(0.0);  // The root delivers to itself instantly.
-    if (on_broadcast_) {
-      on_broadcast_(topic, round, bc);
+    if (forest_.on_broadcast_) {
+      forest_.on_broadcast_(host(), topic, round, bc);
     }
   }
   ForwardBroadcastToChildren(state, bc);
@@ -271,8 +272,8 @@ void ScribeNode::HandleBroadcast(const Message& msg) {
   TopicState& state = it->second;
   if (state.subscribed) {
     BroadcastLatencyHistogram().Observe(pastry_->net()->sim()->Now() - bc.origin_time);
-    if (on_broadcast_) {
-      on_broadcast_(bc.topic, bc.round, bc);
+    if (forest_.on_broadcast_) {
+      forest_.on_broadcast_(host(), bc.topic, bc.round, bc);
     }
   }
   ForwardBroadcastToChildren(state, bc);
@@ -320,10 +321,10 @@ void ScribeNode::AccumulateUpdate(TopicState& state, uint64_t round, Aggregation
     rs.earliest_submit_ms = origin_ms;
   }
   // Arm the straggler cut-off on first activity.
-  if (config_.aggregation_timeout_ms > 0.0 && rs.pieces.size() == 1) {
+  if (forest_.config().aggregation_timeout_ms > 0.0 && rs.pieces.size() == 1) {
     const NodeId topic = state.topic;
     rs.timeout = pastry_->net()->sim()->Schedule(
-        config_.aggregation_timeout_ms, [this, topic, round]() {
+        forest_.config().aggregation_timeout_ms, [this, topic, round]() {
           auto it = topics_.find(topic);
           if (it != topics_.end()) {
             MaybeForwardAggregate(it->second, round, /*timed_out=*/true);
@@ -358,7 +359,7 @@ void ScribeNode::MaybeForwardAggregate(TopicState& state, uint64_t round, bool t
   if (rs.pieces.empty()) {
     return;
   }
-  if (timed_out && on_stragglers_) {
+  if (timed_out && forest_.on_stragglers_) {
     std::vector<HostId> missing;
     for (const auto& [child_host, child_id] : state.children) {
       (void)child_id;
@@ -367,7 +368,7 @@ void ScribeNode::MaybeForwardAggregate(TopicState& state, uint64_t round, bool t
       }
     }
     if (!missing.empty()) {
-      on_stragglers_(state.topic, round, missing);
+      forest_.on_stragglers_(state.topic, round, missing);
     }
   }
   rs.forwarded = true;
@@ -375,9 +376,9 @@ void ScribeNode::MaybeForwardAggregate(TopicState& state, uint64_t round, bool t
   // FL-side cost of merging updates grows with the number of pieces.
   pastry_->net()->metrics().ChargeWork(host(), WorkKind::kFlTask,
                                        static_cast<double>(rs.pieces.size()));
-  const auto combine_it = topic_combine_.find(state.topic);
+  const CombineFn* topic_combine = forest_.TopicCombineFn(state.topic);
   AggregationPiece total =
-      combine_it != topic_combine_.end() ? combine_it->second(rs.pieces) : combine_(rs.pieces);
+      topic_combine != nullptr ? (*topic_combine)(rs.pieces) : combine_(rs.pieces);
   const uint64_t size_bytes = rs.max_piece_bytes;
   const SimTime now = pastry_->net()->sim()->Now();
   const SimTime origin = rs.earliest_submit_ms >= 0.0 ? rs.earliest_submit_ms : now;
@@ -387,11 +388,11 @@ void ScribeNode::MaybeForwardAggregate(TopicState& state, uint64_t round, bool t
     state.any_closed = true;
     state.max_closed_round = std::max(state.max_closed_round, round);
     AggregateLatencyHistogram().Observe(now - origin);
-    if (aggregate_audit_) {
-      aggregate_audit_(state.topic, round, total);
+    if (forest_.aggregate_audit_) {
+      forest_.aggregate_audit_(state.topic, round, total);
     }
-    if (on_root_aggregate_) {
-      on_root_aggregate_(state.topic, round, total);
+    if (forest_.on_root_aggregate_) {
+      forest_.on_root_aggregate_(state.topic, round, total);
     }
     return;
   }
@@ -482,7 +483,7 @@ void ScribeNode::HandleParentHeartbeat(const Message& msg) {
   // would flap the tree edge back and forth and strand subtrees.
   const bool current_parent_live =
       state.parent != kInvalidHost &&
-      now - state.last_parent_heartbeat <= config_.parent_timeout_ms;
+      now - state.last_parent_heartbeat <= forest_.config().parent_timeout_ms;
   if (current_parent_live) {
     send_leave_to(msg.src);
     return;
@@ -534,7 +535,7 @@ void ScribeNode::OnDirectMessage(const Message& msg) {
 }
 
 void ScribeNode::StartMaintenance() {
-  if (!config_.enable_tree_repair || maintenance_running_) {
+  if (!forest_.config().enable_tree_repair || maintenance_running_) {
     return;
   }
   maintenance_running_ = true;
@@ -552,7 +553,7 @@ void ScribeNode::StartMaintenance() {
   }
   // As in PastryNode::StartKeepAlive: pin the timer to this host's shard.
   pastry_->net()->sim()->RunAsHost(host(), [this] {
-    pastry_->net()->sim()->Schedule(config_.parent_heartbeat_ms,
+    pastry_->net()->sim()->Schedule(forest_.config().parent_heartbeat_ms,
                                     [this]() { MaintenanceTick(); });
   });
 }
@@ -597,7 +598,7 @@ void ScribeNode::MaintenanceTick() {
     }
     // Child side: detect a dead parent and re-route a JOIN toward the topic (§4.5).
     if (!state.is_root && state.parent != kInvalidHost &&
-        now - state.last_parent_heartbeat > config_.parent_timeout_ms) {
+        now - state.last_parent_heartbeat > forest_.config().parent_timeout_ms) {
       TLOG_DEBUG("scribe host %u: parent %u of topic %s timed out; rejoining", host(),
                  state.parent, state.topic.ToHex().c_str());
       pastry_->ReportDead(state.parent_id, state.parent);  // Clean DHT-level state too.
@@ -606,7 +607,7 @@ void ScribeNode::MaintenanceTick() {
     } else if (!state.is_root && state.parent == kInvalidHost && !state.join_pending &&
                (state.subscribed || !state.children.empty())) {
       SendJoin(state.topic);
-    } else if (config_.join_retry_ms > 0.0 && state.join_pending &&
+    } else if (forest_.config().join_retry_ms > 0.0 && state.join_pending &&
                now - state.join_sent_ms >= state.join_backoff_ms) {
       // The pending JOIN (or its graft reply) was lost; retransmit with exponential
       // backoff so a flapping link does not amplify into a JOIN storm.
@@ -618,7 +619,8 @@ void ScribeNode::MaintenanceTick() {
       state.join_backoff_ms = backoff;  // SendJoin must not reset the doubled value.
     }
   }
-  pastry_->net()->sim()->Schedule(config_.parent_heartbeat_ms, [this]() { MaintenanceTick(); });
+  pastry_->net()->sim()->Schedule(forest_.config().parent_heartbeat_ms,
+                                  [this]() { MaintenanceTick(); });
 }
 
 bool ScribeNode::InTree(const NodeId& topic) const {

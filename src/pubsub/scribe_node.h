@@ -19,6 +19,10 @@
 // Repair (§4.5): parents send per-topic keep-alives to children; a child that misses
 // them re-routes a JOIN toward the topic, which grafts it (and its subtree) onto a live
 // branch.
+//
+// A node keeps only its own state: its topics, its wire batcher and its default
+// combiner. The ScribeConfig, the application upcalls and the per-topic combiners are
+// its Forest's, shared by every node (src/pubsub/forest.h).
 #ifndef SRC_PUBSUB_SCRIBE_NODE_H_
 #define SRC_PUBSUB_SCRIBE_NODE_H_
 
@@ -61,22 +65,12 @@ struct ScribeConfig {
   bool coalesce_sends = false;
 };
 
+class Forest;
+
 class ScribeNode {
  public:
-  using BroadcastFn =
-      std::function<void(const NodeId& topic, uint64_t round, const ScribeBroadcast& msg)>;
-  using RootAggregateFn =
-      std::function<void(const NodeId& topic, uint64_t round, const AggregationPiece& total)>;
-  // Invoked when a round's straggler cut-off fires, with the children that had not
-  // reported (Table 2's onTimer exposes straggler ids to the application owner).
-  using StragglerFn = std::function<void(const NodeId& topic, uint64_t round,
-                                         const std::vector<HostId>& missing_children)>;
-  // Invoked at the root whenever a round's total is finalized, before the application
-  // callback — the faultsim InvariantChecker audits contribution counts here.
-  using AggregateAuditFn =
-      std::function<void(const NodeId& topic, uint64_t round, const AggregationPiece& total)>;
-
-  ScribeNode(PastryNode* pastry, ScribeConfig config);
+  // `forest` holds the config, upcalls and topic combiners; it must outlive the node.
+  ScribeNode(PastryNode* pastry, const Forest& forest);
 
   PastryNode& pastry() { return *pastry_; }
   const PastryNode& pastry() const { return *pastry_; }
@@ -95,18 +89,8 @@ class ScribeNode {
   void SubmitUpdate(const NodeId& topic, uint64_t round, AggregationPiece piece,
                     uint64_t size_bytes);
 
-  // Application callbacks.
+  // This node's combiner for every topic without a Forest::SetCombineFnForTopic one.
   void SetCombineFn(CombineFn fn) { combine_ = std::move(fn); }
-  // Per-topic combiner override (§4.3: "owners can specify different aggregation
-  // functions in their trees") — e.g. a secure-sum combiner for one application while
-  // the default FedAvg merge serves every other topic on this node.
-  void SetCombineFnForTopic(const NodeId& topic, CombineFn fn) {
-    topic_combine_[topic] = std::move(fn);
-  }
-  void SetOnBroadcast(BroadcastFn fn) { on_broadcast_ = std::move(fn); }
-  void SetOnRootAggregate(RootAggregateFn fn) { on_root_aggregate_ = std::move(fn); }
-  void SetOnStragglers(StragglerFn fn) { on_stragglers_ = std::move(fn); }
-  void SetAggregateAudit(AggregateAuditFn fn) { aggregate_audit_ = std::move(fn); }
 
   // Structure inspection (used by forest statistics and tests).
   bool InTree(const NodeId& topic) const;
@@ -116,7 +100,7 @@ class ScribeNode {
   std::vector<HostId> ChildrenOf(const NodeId& topic) const;
   std::vector<NodeId> Topics() const;
 
-  // Tree repair driver; requires config.enable_tree_repair.
+  // Tree repair driver; requires the forest's config.enable_tree_repair.
   void StartMaintenance();
 
  private:
@@ -179,14 +163,9 @@ class ScribeNode {
   void ChargeState(int64_t delta);
 
   PastryNode* pastry_;
-  ScribeConfig config_;
+  const Forest& forest_;
   WireBatcher batcher_;
   CombineFn combine_;
-  std::map<U128, CombineFn> topic_combine_;
-  BroadcastFn on_broadcast_;
-  RootAggregateFn on_root_aggregate_;
-  StragglerFn on_stragglers_;
-  AggregateAuditFn aggregate_audit_;
   // Ordered map: MaintenanceTick walks every topic sending heartbeats and re-JOINs, so
   // the walk order feeds event scheduling and must not depend on a hash function.
   std::map<U128, TopicState> topics_;

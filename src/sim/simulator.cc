@@ -57,10 +57,7 @@ Simulator::Simulator(size_t num_shards) : num_shards_(num_shards) {
                                 " shards exceed kMaxShards = " + std::to_string(kMaxShards);
     CheckFailed(__FILE__, __LINE__, message.c_str());
   }
-  GlobalTracer().SetClockSource(&now_);
-  SetLogTimeSource(&now_);
-  GlobalProfiler().SetClockSource(&now_);
-  GlobalProfiler().SetEventCountSource(&events_fired_);
+  SetVirtualClock(&now_);
   fired_counter_ = &GlobalMetrics().GetCounter("sim.events_fired");
   cancelled_counter_ = &GlobalMetrics().GetCounter("sim.events_cancelled");
   shards_.reserve(num_shards);
@@ -96,17 +93,8 @@ Simulator::~Simulator() {
       shards_[i]->thread.join();
     }
   }
-  if (GlobalTracer().clock_source() == &now_) {
-    GlobalTracer().SetClockSource(nullptr);
-  }
-  if (GetLogTimeSource() == &now_) {
-    SetLogTimeSource(nullptr);
-  }
-  if (GlobalProfiler().clock_source() == &now_) {
-    GlobalProfiler().SetClockSource(nullptr);
-  }
-  if (GlobalProfiler().event_count_source() == &events_fired_) {
-    GlobalProfiler().SetEventCountSource(nullptr);
+  if (VirtualClock() == &now_) {
+    SetVirtualClock(nullptr);
   }
 }
 
@@ -245,6 +233,7 @@ size_t Simulator::RunUntil(SimTime t) {
   CHECK_GE(t, now_);
   // Events at exactly t must run: the exclusive bound is the next representable time.
   const size_t fired = RunLoop(SIZE_MAX, std::nextafter(t, kNever));
+  GlobalProfiler().AddRun(t - now_, 0);
   now_ = t;
   return fired;
 }
@@ -263,9 +252,9 @@ size_t Simulator::RunLoop(size_t max_events, SimTime end_exclusive) {
       shards_[i]->profiler->SetEnabled(GlobalProfiler().enabled());
     }
   }
-  // Closes after events_fired_ is folded below, so the scope's event delta is exact.
   ProfileScope profile_scope("sim_run");
   running_ = true;
+  const SimTime start = now_;
   const double wall_start = WallClockSeconds();
   size_t fired_total = 0;
   while (fired_total < max_events) {
@@ -306,6 +295,8 @@ size_t Simulator::RunLoop(size_t max_events, SimTime end_exclusive) {
   fired_counter_->Increment(fired_total);
   SyncCancelledCounter();
   FoldObservability();
+  // sim_run is still open, so it and every phase around it count this run.
+  GlobalProfiler().AddRun(now_ - start, fired_total);
   return fired_total;
 }
 
@@ -400,9 +391,7 @@ void Simulator::WorkerMain(size_t shard_index) {
   shard.tracer = &GlobalTracer();
   shard.metrics = &GlobalMetrics();
   shard.profiler = &GlobalProfiler();
-  shard.tracer->SetClockSource(&shard.now);
-  shard.profiler->SetClockSource(&shard.now);
-  SetLogTimeSource(&shard.now);
+  SetVirtualClock(&shard.now);
   {
     MutexLock lock(&mu_);
     ++workers_ready_;

@@ -39,15 +39,17 @@
 // send-sequence) from the sender's stream). K>1 CHECK-fails on zero lookahead, on hosts
 // added after the first run, and on Network::SetHostBandwidth during a run; K=1 allows
 // all three. TotoroEngine runs at K=1 only (its per-app state is not shown to be
-// thread-safe). TOTORO_PROFILE merges per-shard virtual-ms sums in shard order, so
-// profile gauges may differ across K in the last ulp.
+// thread-safe). Under TOTORO_PROFILE the workers' phase trees merge into the calling
+// thread's in shard order.
 //
 // Throughput accounting: Run/RunUntil count fired events into the thread's metrics
 // registry (`sim.events_fired`; effective cancellations fold into
 // `sim.events_cancelled`) and accumulate wall-clock spent inside the event loop, so
 // any bench can report simulated events per wall second (EventsPerSecond). Each run is
-// also the profiler's `sim_run` phase. Wall-clock values never enter the metrics
-// registry, so metric exports stay bit-identical across runs.
+// also the profiler's `sim_run` phase, and adds its fired events and virtual-clock
+// advance to every phase open on the calling thread (Profiler::AddRun); RunUntil's
+// final advance to t counts too. Wall-clock values never enter the metrics registry,
+// so metric exports stay bit-identical across runs.
 #ifndef SRC_SIM_SIMULATOR_H_
 #define SRC_SIM_SIMULATOR_H_
 
@@ -76,11 +78,11 @@ class Simulator {
   // otherwise start thousands of threads; no host this runs on has this many cores.
   static constexpr size_t kMaxShards = 256;
 
-  // Registers this simulator's clock as the thread-wide virtual-time source for the
-  // tracer, the logger and the profiler; the destructor deregisters it (only if still
-  // the active source, so nested/successive simulators behave sanely). K>1 starts K-1
-  // worker threads, one per shard but shard 0, which the calling thread runs; K=1
-  // starts none. CHECK-fails unless 1 <= num_shards <= kMaxShards.
+  // Registers this simulator's clock as the thread's virtual clock (VirtualClock() in
+  // src/common/logging.h, which the logger and the tracer read), and each K>1 worker
+  // registers its shard's; the destructor clears it if it is still this one's. K>1
+  // starts K-1 worker threads, one per shard but shard 0, which the calling thread
+  // runs; K=1 starts none. CHECK-fails unless 1 <= num_shards <= kMaxShards.
   explicit Simulator(size_t num_shards = 1);
   ~Simulator();
   Simulator(const Simulator&) = delete;

@@ -12,6 +12,7 @@
 #include <new>
 
 #include "src/dht/pastry_network.h"
+#include "src/pubsub/scribe_node.h"
 #include "src/sim/latency_model.h"
 #include "src/sim/network.h"
 #include "src/sim/simulator.h"
@@ -95,6 +96,12 @@ double LiveBytesPerNode(size_t nodes, uint64_t seed, bool keepalive = false) {
 // keep-alives pays for none of it in the node itself.
 TEST(DhtMemoryTest, PastryNodeStaysWithin288Bytes) {
   EXPECT_LE(sizeof(PastryNode), 288u);
+}
+
+// A ScribeNode holds its topics, its wire batcher and its default combiner; the config,
+// upcalls and topic combiners are its Forest's, shared by every node.
+TEST(DhtMemoryTest, ScribeNodeStaysWithin192Bytes) {
+  EXPECT_LE(sizeof(ScribeNode), 192u);
 }
 
 // Measured with 24-byte route entries, routing rows packed into one exact-size

@@ -58,6 +58,19 @@ TEST(RoutingTableDeathTest, RejectsEntryWithoutHost) {
                "kInvalidHost");
 }
 
+// A node's index is its HostId, so the Network an overlay runs on holds its nodes only.
+TEST(PastryNetworkDeathTest, AddNodeAfterAForeignHostNamesTheContract) {
+  struct SilentHost : Host {
+    void HandleMessage(const Message&) override {}
+  };
+  Simulator sim;
+  Network net(&sim, std::make_unique<PairwiseUniformLatency>(1.0, 20.0, 7), NetworkConfig{});
+  SilentHost foreign;
+  net.AddHost(&foreign);
+  PastryNetwork pastry(&net, PastryConfig{});
+  EXPECT_DEATH(pastry.AddNode(U128(1, 0)), "index must equal its HostId");
+}
+
 TEST(RoutingTableTest, PrefersCloserProximityOnConflict) {
   RoutingTable rt(U128::FromHex("ab000000000000000000000000000000"), 4);
   EXPECT_TRUE(Offer(rt, Entry("cd000000000000000000000000000000", 10)));

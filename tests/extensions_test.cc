@@ -149,66 +149,6 @@ TEST(SecureAggTest, CombinerSkipsNullPiecesAndMergesContributors) {
   EXPECT_DOUBLE_EQ(empty.weight, 0.0);
 }
 
-TEST(SecureAggTest, TreeSumWithSecureCombinerMatchesFlatFedAvg) {
-  // Masked updates flow through a real tree with the secure-sum combiner; the root
-  // unmasks and must match plain FedAvg.
-  Simulator sim;
-  NetworkConfig net_config;
-  net_config.model_bandwidth = false;
-  Network net(&sim, std::make_unique<PairwiseUniformLatency>(1.0, 5.0, 7), net_config);
-  PastryNetwork pastry(&net, PastryConfig{});
-  Rng rng(8);
-  for (int i = 0; i < 40; ++i) {
-    pastry.AddRandomNode(rng);
-  }
-  pastry.BuildOracle(rng);
-  Forest forest(&pastry, ScribeConfig{});
-  for (size_t i = 0; i < forest.size(); ++i) {
-    forest.scribe(i).SetCombineFn(MakeSecureSumCombiner());
-  }
-  const NodeId topic = forest.CreateTopic("secure-app");
-  std::vector<size_t> all(forest.size());
-  for (size_t i = 0; i < all.size(); ++i) {
-    all[i] = i;
-  }
-  forest.SubscribeAll(topic, all);
-
-  std::vector<uint64_t> participant_ids(all.begin(), all.end());
-  SecureAggregationGroup group(participant_ids, 9);
-  const size_t dim = 24;
-  Rng wrng(10);
-  std::vector<WeightedUpdate> plain;
-  std::vector<float> root_sum;
-  double root_weight = 0.0;
-  const size_t root = forest.RootOf(topic);
-  forest.scribe(root).SetOnRootAggregate(
-      [&](const NodeId&, uint64_t, const AggregationPiece& total) {
-        root_sum = static_cast<const WeightsPayload*>(total.data.get())->weights;
-        root_weight = total.weight;
-      });
-  for (size_t i = 0; i < forest.size(); ++i) {
-    std::vector<float> w(dim);
-    for (auto& v : w) {
-      v = static_cast<float>(wrng.Gaussian());
-    }
-    const double weight = 1.0 + static_cast<double>(wrng.NextBelow(3));
-    plain.push_back({w, weight});
-    auto payload = std::make_shared<WeightsPayload>();
-    payload->weights = group.MaskUpdate(static_cast<uint64_t>(i), w, weight);
-    AggregationPiece piece;
-    piece.data = std::move(payload);
-    piece.weight = weight;
-    forest.scribe(i).SubmitUpdate(topic, 1, std::move(piece), dim * 4);
-  }
-  sim.Run();
-  ASSERT_EQ(root_sum.size(), dim);
-  const auto expected = FederatedAverage(plain);
-  const auto recovered = FinalizeSecureAverage(root_sum, root_weight);
-  for (size_t i = 0; i < dim; ++i) {
-    EXPECT_NEAR(recovered[i], expected[i], 2e-3f);
-  }
-}
-
 // ---------- Engine extension helpers ----------
 
 struct EngineWorld {

@@ -222,12 +222,10 @@ TEST(FaultInjectionTest, GracefulLeaveOfInternalParentRehomesItsSubtree) {
 
   // Every live subscriber still receives broadcasts exactly once.
   std::unordered_map<size_t, int> deliveries;
-  for (size_t i = 0; i < world.forest->size(); ++i) {
-    world.forest->scribe(i).SetOnBroadcast(
-        [&deliveries, i](const NodeId&, uint64_t, const ScribeBroadcast&) {
-          ++deliveries[i];
-        });
-  }
+  world.forest->SetOnBroadcast(
+      [&deliveries](HostId host, const NodeId&, uint64_t, const ScribeBroadcast&) {
+        ++deliveries[host];
+      });
   world.forest->scribe(world.forest->RootOf(topic)).Broadcast(topic, 1, nullptr, 64);
   world.sim.RunFor(2000.0);
   for (size_t member : members) {

@@ -136,13 +136,10 @@ struct ScenarioWorld {
   // Publishes one round from the current root and counts per-host deliveries.
   std::unordered_map<HostId, int> BroadcastAndCollect(uint64_t round, double settle_ms) {
     auto deliveries = std::make_shared<std::unordered_map<HostId, int>>();
-    for (size_t i = 0; i < forest->size(); ++i) {
-      const HostId host = forest->scribe(i).host();
-      forest->scribe(i).SetOnBroadcast(
-          [deliveries, host](const NodeId&, uint64_t, const ScribeBroadcast&) {
-            ++(*deliveries)[host];
-          });
-    }
+    forest->SetOnBroadcast(
+        [deliveries](HostId host, const NodeId&, uint64_t, const ScribeBroadcast&) {
+          ++(*deliveries)[host];
+        });
     const size_t root = forest->RootOf(topic);
     EXPECT_NE(root, SIZE_MAX);
     if (root != SIZE_MAX) {
@@ -174,7 +171,6 @@ GoldenOutcome RunGoldenPartitionHeal(uint64_t seed) {
     ScenarioWorld world(48, seed);
     FaultInjector injector(world.pastry.get(), world.forest.get(), seed + 7);
     InvariantCheckerConfig checker_config;
-    checker_config.interval_ms = 500.0;
     checker_config.convergence_grace_ms = 9000.0;
     InvariantChecker checker(world.pastry.get(), world.forest.get(), checker_config);
     checker.WatchTopic(world.topic);

@@ -139,11 +139,9 @@ TEST(TreeAggregationConsistencyTest, TreeFedAvgEqualsFlatFedAvg) {
 
   std::vector<WeightedUpdate> flat;
   std::vector<float> tree_result;
-  const size_t root = forest.RootOf(topic);
-  forest.scribe(root).SetOnRootAggregate(
-      [&](const NodeId&, uint64_t, const AggregationPiece& total) {
-        tree_result = static_cast<const WeightsPayload*>(total.data.get())->weights;
-      });
+  forest.SetOnRootAggregate([&](const NodeId&, uint64_t, const AggregationPiece& total) {
+    tree_result = static_cast<const WeightsPayload*>(total.data.get())->weights;
+  });
   Rng wrng(401);
   for (size_t i = 0; i < forest.size(); ++i) {
     std::vector<float> w(8);

@@ -1,7 +1,7 @@
 // Tests for the scoped hierarchical phase profiler (src/obs/profiler.h): nesting and
-// accumulation, disabled-mode inertness, deterministic virtual-time/event deltas from
-// registered sources, metric publication naming, Reset semantics, and the phases the
-// library's construction layers open.
+// accumulation, disabled-mode inertness, the virtual time and events a phase takes from
+// the simulator runs it encloses, metric publication naming, Reset semantics, and the
+// phases the library's construction layers open.
 #include "src/obs/profiler.h"
 
 #include <memory>
@@ -26,18 +26,21 @@ class ProfilerTest : public ::testing::Test {
   void SetUp() override {
     Profiler& p = GlobalProfiler();
     p.SetEnabled(true);
-    p.SetClockSource(nullptr);
-    p.SetEventCountSource(nullptr);
     p.Reset();
   }
   void TearDown() override {
     Profiler& p = GlobalProfiler();
     p.Reset();
     p.SetEnabled(false);
-    p.SetClockSource(nullptr);
-    p.SetEventCountSource(nullptr);
   }
 };
+
+// Schedules `count` no-op events, one every `every_ms` virtual ms from now.
+void ScheduleTicks(Simulator& sim, int count, double every_ms) {
+  for (int i = 1; i <= count; ++i) {
+    sim.Schedule(every_ms * i, [] {});
+  }
+}
 
 TEST_F(ProfilerTest, NestedScopesBuildOnePathPerParentChain) {
   {
@@ -111,60 +114,93 @@ TEST_F(ProfilerTest, ScopeOpenedWhileDisabledStaysInertAcrossEnable) {
   EXPECT_EQ(p.Find("ghost"), nullptr);
 }
 
-TEST_F(ProfilerTest, VirtualTimeAndEventDeltasFoldDeterministically) {
-  Profiler& p = GlobalProfiler();
-  double now_ms = 100.0;
-  uint64_t events = 7;
-  p.SetClockSource(&now_ms);
-  p.SetEventCountSource(&events);
+TEST_F(ProfilerTest, NestedPhasesTakeTheRunsTheyEnclose) {
+  Simulator sim;
+  ScheduleTicks(sim, 10, 10.0);  // Events at 10, 20, ..., 100 ms.
   {
     ProfileScope outer("run");
-    now_ms = 150.0;
-    events = 10;
+    sim.RunUntil(50.0);  // 5 events.
     {
       ProfileScope inner("step");
-      now_ms = 175.0;
-      events = 16;
+      sim.RunUntil(75.0);  // 2 events.
     }
-    now_ms = 200.0;
-    events = 20;
+    sim.RunUntil(100.0);  // 3 events.
   }
+  const Profiler& p = GlobalProfiler();
   const Profiler::PhaseNode* run = p.Find("run");
   ASSERT_NE(run, nullptr);
-  EXPECT_DOUBLE_EQ(run->stats.virtual_ms, 100.0);  // 200 - 100, inclusive of the child.
-  EXPECT_EQ(run->stats.events, 13u);               // 20 - 7.
+  EXPECT_DOUBLE_EQ(run->stats.virtual_ms, 100.0);  // Inclusive of the child.
+  EXPECT_EQ(run->stats.events, 10u);
   const Profiler::PhaseNode* step = p.Find("run.step");
   ASSERT_NE(step, nullptr);
   EXPECT_DOUBLE_EQ(step->stats.virtual_ms, 25.0);
-  EXPECT_EQ(step->stats.events, 6u);
-  p.SetClockSource(nullptr);
-  p.SetEventCountSource(nullptr);
+  EXPECT_EQ(step->stats.events, 2u);
+  // The run loop's own phase stops at the last event; RunUntil's final advance to 75
+  // counts for the phases around it only.
+  const Profiler::PhaseNode* step_loop = p.Find("run.step.sim_run");
+  ASSERT_NE(step_loop, nullptr);
+  EXPECT_DOUBLE_EQ(step_loop->stats.virtual_ms, 20.0);
+  EXPECT_EQ(step_loop->stats.events, 2u);
 }
 
 TEST_F(ProfilerTest, RepeatedRunsAccumulateExactDeltas) {
-  Profiler& p = GlobalProfiler();
-  double now_ms = 0.0;
-  p.SetClockSource(&now_ms);
+  Simulator sim;
   for (int i = 0; i < 3; ++i) {
     ProfileScope scope("tick");
-    now_ms += 10.0;
+    sim.RunFor(10.0);
   }
-  const Profiler::PhaseNode* tick = p.Find("tick");
+  const Profiler::PhaseNode* tick = GlobalProfiler().Find("tick");
   ASSERT_NE(tick, nullptr);
   EXPECT_EQ(tick->stats.calls, 3u);
   EXPECT_DOUBLE_EQ(tick->stats.virtual_ms, 30.0);
-  p.SetClockSource(nullptr);
+}
+
+// The phase builds, runs and destroys its simulator, as a bench's whole-run phase does:
+// it and its sim_run child report that run, and nothing above them counts it.
+TEST_F(ProfilerTest, PhaseAroundASimulatorsLifetimeReportsItsRun) {
+  {
+    ProfileScope phase("whole_run");
+    Simulator sim;
+    ScheduleTicks(sim, 7, 3.0);
+    EXPECT_EQ(sim.Run(), 7u);
+  }
+  const Profiler& p = GlobalProfiler();
+  for (const char* path : {"whole_run", "whole_run.sim_run"}) {
+    const Profiler::PhaseNode* node = p.Find(path);
+    ASSERT_NE(node, nullptr) << path;
+    EXPECT_EQ(node->stats.events, 7u) << path;
+    EXPECT_DOUBLE_EQ(node->stats.virtual_ms, 21.0) << path;
+  }
+  EXPECT_EQ(p.nodes()[0].stats.events, 0u);
+  EXPECT_DOUBLE_EQ(p.nodes()[0].stats.virtual_ms, 0.0);
+}
+
+TEST_F(ProfilerTest, PhaseSpanningTwoSimulatorsReportsTheSum) {
+  Simulator first;
+  ScheduleTicks(first, 4, 10.0);
+  first.Run();  // Before the phase: counts for no phase that opens later.
+  ScheduleTicks(first, 2, 5.0);
+  {
+    ProfileScope phase("two_sims");
+    first.Run();  // 2 events, 40 -> 50 ms.
+    Simulator second;
+    ScheduleTicks(second, 3, 4.0);
+    second.RunUntil(20.0);  // 3 events, 0 -> 20 ms.
+  }
+  const Profiler::PhaseNode* both = GlobalProfiler().Find("two_sims");
+  ASSERT_NE(both, nullptr);
+  EXPECT_EQ(both->stats.events, 5u);
+  EXPECT_DOUBLE_EQ(both->stats.virtual_ms, 30.0);
 }
 
 TEST_F(ProfilerTest, PublishToMetricsEmitsOnlyDeterministicFields) {
   Profiler& p = GlobalProfiler();
-  double now_ms = 0.0;
-  p.SetClockSource(&now_ms);
+  Simulator sim;
   {
     ProfileScope outer("publish_run");
-    now_ms = 40.0;
+    sim.RunUntil(40.0);
     ProfileScope inner("fold");
-    now_ms = 50.0;
+    sim.RunUntil(50.0);
   }
   MetricsRegistry registry;
   p.PublishToMetrics(&registry);
@@ -177,7 +213,6 @@ TEST_F(ProfilerTest, PublishToMetricsEmitsOnlyDeterministicFields) {
   // three deterministic series per phase.
   const std::string text = MetricsToJson(registry);
   EXPECT_EQ(text.find("wall"), std::string::npos);
-  p.SetClockSource(nullptr);
 }
 
 TEST_F(ProfilerTest, ReportTextAndJsonListPhasesInDeterministicOrder) {
@@ -196,16 +231,12 @@ TEST_F(ProfilerTest, ReportTextAndJsonListPhasesInDeterministicOrder) {
 
 TEST_F(ProfilerTest, ResetDropsPhasesKeepsConfiguration) {
   Profiler& p = GlobalProfiler();
-  double now_ms = 0.0;
-  p.SetClockSource(&now_ms);
   {
     ProfileScope scope("dropped");
   }
   p.Reset();
   EXPECT_TRUE(p.enabled());
   EXPECT_EQ(p.nodes().size(), 1u);
-  EXPECT_EQ(p.clock_source(), &now_ms);
-  p.SetClockSource(nullptr);
 }
 
 // Builds a 64-node overlay, its forest, and one topic that five members join.

@@ -107,12 +107,10 @@ TEST_P(ForestPropertyTest, TreeIsAcyclicAndCoversAllSubscribers) {
 
 TEST_P(ForestPropertyTest, BroadcastDeliversToEverySubscriberExactlyOnce) {
   std::unordered_map<size_t, int> deliveries;
-  for (size_t i = 0; i < forest_->size(); ++i) {
-    forest_->scribe(i).SetOnBroadcast(
-        [&deliveries, i](const NodeId&, uint64_t, const ScribeBroadcast&) {
-          ++deliveries[i];
-        });
-  }
+  forest_->SetOnBroadcast(
+      [&deliveries](HostId host, const NodeId&, uint64_t, const ScribeBroadcast&) {
+        ++deliveries[host];
+      });
   const size_t root = forest_->RootOf(topic_);
   forest_->scribe(root).Broadcast(topic_, 1, std::make_shared<int>(1), 4096);
   sim_.Run();
@@ -123,10 +121,9 @@ TEST_P(ForestPropertyTest, BroadcastDeliversToEverySubscriberExactlyOnce) {
 }
 
 TEST_P(ForestPropertyTest, AggregationConservesWeightAndCount) {
-  const size_t root = forest_->RootOf(topic_);
   double total_weight = -1.0;
   uint64_t total_count = 0;
-  forest_->scribe(root).SetOnRootAggregate(
+  forest_->SetOnRootAggregate(
       [&](const NodeId&, uint64_t, const AggregationPiece& total) {
         total_weight = total.weight;
         total_count = total.count;
@@ -147,13 +144,12 @@ TEST_P(ForestPropertyTest, AggregationConservesWeightAndCount) {
 TEST_P(ForestPropertyTest, SecondRoundReusesTheSameTree) {
   // Round state is per-round: a second aggregation on the same tree works and the tree
   // structure (parents/children) is unchanged.
-  const size_t root = forest_->RootOf(topic_);
   std::vector<HostId> parents_before;
   for (size_t member : members_) {
     parents_before.push_back(forest_->scribe(member).ParentOf(topic_));
   }
   int root_totals = 0;
-  forest_->scribe(root).SetOnRootAggregate(
+  forest_->SetOnRootAggregate(
       [&](const NodeId&, uint64_t, const AggregationPiece&) { ++root_totals; });
   for (uint64_t round = 1; round <= 2; ++round) {
     for (size_t member : members_) {

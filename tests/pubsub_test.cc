@@ -2,6 +2,8 @@
 
 #include <set>
 
+#include "src/fl/aggregation.h"
+#include "src/fl/secure_agg.h"
 #include "src/pubsub/forest.h"
 
 namespace totoro {
@@ -14,11 +16,14 @@ struct World {
   std::unique_ptr<Forest> forest;
   Rng rng{777};
 
-  explicit World(size_t n, ScribeConfig scribe = {}, PastryConfig pastry_config = {}) {
+  explicit World(size_t n, ScribeConfig scribe = {}, PastryConfig pastry_config = {},
+                 size_t shards = 1)
+      : sim(shards) {
     NetworkConfig net_config;
     net_config.model_bandwidth = false;
     net = std::make_unique<Network>(&sim, std::make_unique<PairwiseUniformLatency>(1.0, 10.0, 3),
                                     net_config);
+    sim.SetLookaheadMs(net->latency_model().MinLatencyMs());
     pastry = std::make_unique<PastryNetwork>(net.get(), pastry_config);
     for (size_t i = 0; i < n; ++i) {
       pastry->AddRandomNode(rng);
@@ -87,51 +92,78 @@ TEST(ScribeTest, PartialSubscriptionOnlyMembersInTree) {
   EXPECT_TRUE(stats.all_subscribers_connected);
 }
 
-TEST(ScribeTest, BroadcastReachesEverySubscriber) {
-  World world(120);
-  const NodeId topic = world.forest->CreateTopic("bcast-app");
-  world.forest->SubscribeAll(topic, world.AllNodes());
+// The forest's upcalls serve every node at any shard count. One SetOnBroadcast call
+// sees each subscriber exactly once, under the subscriber's own HostId and with the
+// root's payload; and one SetCombineFnForTopic call governs every interior hop: each
+// node's default combiner passes one child's data through, so a single hop that missed
+// the secure-sum combiner would break the unmasked total.
+class ForestUpcallTest : public ::testing::TestWithParam<size_t> {};
 
-  std::set<size_t> received;
-  for (size_t i = 0; i < world.forest->size(); ++i) {
-    world.forest->scribe(i).SetOnBroadcast(
-        [&received, i](const NodeId&, uint64_t round, const ScribeBroadcast&) {
-          EXPECT_EQ(round, 1u);
-          received.insert(i);
-        });
+TEST_P(ForestUpcallTest, OneInstallServesEveryNode) {
+  World world(60, ScribeConfig{}, PastryConfig{}, /*shards=*/GetParam());
+  const NodeId topic = world.forest->CreateTopic("forest-upcalls");
+  std::vector<size_t> members;  // The even hosts.
+  for (size_t host = 0; host < world.forest->size(); host += 2) {
+    members.push_back(host);
   }
-  const size_t root = world.forest->RootOf(topic);
-  world.forest->scribe(root).Broadcast(topic, 1, std::make_shared<int>(42), 1000);
+  world.forest->SubscribeAll(topic, members);
+  // Each host's slot is written only by the shard that runs the host.
+  std::vector<int> deliveries(world.forest->size(), 0);
+  world.forest->SetOnBroadcast(
+      [&deliveries](HostId host, const NodeId&, uint64_t, const ScribeBroadcast& bc) {
+        deliveries[host] += *static_cast<const int*>(bc.data.get());
+      });
+  world.forest->scribe(world.forest->RootOf(topic))
+      .Broadcast(topic, 1, std::make_shared<int>(42), 1000);
   world.sim.Run();
-  EXPECT_EQ(received.size(), world.forest->size());
+  for (size_t host = 0; host < deliveries.size(); ++host) {
+    EXPECT_EQ(deliveries[host], host % 2 == 0 ? 42 : 0) << "host " << host;
+  }
+
+  world.forest->SetCombineFnForTopic(topic, MakeSecureSumCombiner());
+  SecureAggregationGroup group(std::vector<uint64_t>(members.begin(), members.end()), 9);
+  constexpr size_t kDim = 24;
+  Rng wrng(10);
+  std::vector<WeightedUpdate> plain;
+  std::vector<float> root_sum;
+  double root_weight = 0.0;
+  world.forest->SetOnRootAggregate(
+      [&](const NodeId&, uint64_t, const AggregationPiece& total) {
+        root_sum = static_cast<const WeightsPayload*>(total.data.get())->weights;
+        root_weight = total.weight;
+      });
+  for (size_t host : members) {
+    std::vector<float> w(kDim);
+    for (auto& v : w) {
+      v = static_cast<float>(wrng.Gaussian());
+    }
+    const double weight = 1.0 + static_cast<double>(wrng.NextBelow(3));
+    plain.push_back({w, weight});
+    auto payload = std::make_shared<WeightsPayload>();
+    payload->weights = group.MaskUpdate(host, w, weight);
+    AggregationPiece piece;
+    piece.data = std::move(payload);
+    piece.weight = weight;
+    world.forest->scribe(host).SubmitUpdate(topic, 1, std::move(piece), kDim * 4);
+  }
+  world.sim.Run();
+  ASSERT_EQ(root_sum.size(), kDim);
+  const auto expected = FederatedAverage(plain);
+  const auto recovered = FinalizeSecureAverage(root_sum, root_weight);
+  for (size_t i = 0; i < kDim; ++i) {
+    EXPECT_NEAR(recovered[i], expected[i], 2e-3f);
+  }
 }
 
-TEST(ScribeTest, BroadcastPayloadSharedPointerVisible) {
-  World world(30);
-  const NodeId topic = world.forest->CreateTopic("payload-app");
-  world.forest->SubscribeAll(topic, world.AllNodes());
-  int seen = 0;
-  for (size_t i = 0; i < world.forest->size(); ++i) {
-    world.forest->scribe(i).SetOnBroadcast(
-        [&seen](const NodeId&, uint64_t, const ScribeBroadcast& bc) {
-          EXPECT_EQ(*static_cast<const int*>(bc.data.get()), 1234);
-          ++seen;
-        });
-  }
-  const size_t root = world.forest->RootOf(topic);
-  world.forest->scribe(root).Broadcast(topic, 1, std::make_shared<int>(1234), 64);
-  world.sim.Run();
-  EXPECT_EQ(seen, static_cast<int>(world.forest->size()));
-}
+INSTANTIATE_TEST_SUITE_P(Shards, ForestUpcallTest, ::testing::Values(size_t{1}, size_t{4}));
 
 TEST(ScribeTest, AggregationCountsEveryContribution) {
   World world(80);
   const NodeId topic = world.forest->CreateTopic("agg-app");
   world.forest->SubscribeAll(topic, world.AllNodes());
 
-  const size_t root = world.forest->RootOf(topic);
   bool root_got_total = false;
-  world.forest->scribe(root).SetOnRootAggregate(
+  world.forest->SetOnRootAggregate(
       [&](const NodeId&, uint64_t round, const AggregationPiece& total) {
         EXPECT_EQ(round, 7u);
         EXPECT_EQ(total.count, world.forest->size());
@@ -158,24 +190,21 @@ TEST(ScribeTest, AggregationCombinerSeesWeights) {
   struct Value {
     double weighted_sum = 0.0;
   };
-  for (size_t i = 0; i < world.forest->size(); ++i) {
-    world.forest->scribe(i).SetCombineFn([](const std::vector<AggregationPiece>& pieces) {
-      auto merged = std::make_shared<Value>();
-      AggregationPiece out;
-      for (const auto& p : pieces) {
-        merged->weighted_sum += static_cast<const Value*>(p.data.get())->weighted_sum;
-        out.weight += p.weight;
-        out.count += p.count;
-      }
-      out.weight -= 1.0;
-      out.count -= 1;
-      out.data = std::move(merged);
-      return out;
-    });
-  }
-  const size_t root = world.forest->RootOf(topic);
+  world.forest->SetCombineFnForTopic(topic, [](const std::vector<AggregationPiece>& pieces) {
+    auto merged = std::make_shared<Value>();
+    AggregationPiece out;
+    for (const auto& p : pieces) {
+      merged->weighted_sum += static_cast<const Value*>(p.data.get())->weighted_sum;
+      out.weight += p.weight;
+      out.count += p.count;
+    }
+    out.weight -= 1.0;
+    out.count -= 1;
+    out.data = std::move(merged);
+    return out;
+  });
   double root_sum = -1.0;
-  world.forest->scribe(root).SetOnRootAggregate(
+  world.forest->SetOnRootAggregate(
       [&](const NodeId&, uint64_t, const AggregationPiece& total) {
         root_sum = static_cast<const Value*>(total.data.get())->weighted_sum;
       });
@@ -200,9 +229,8 @@ TEST(ScribeTest, StragglerTimeoutForwardsPartialAggregate) {
   const NodeId topic = world.forest->CreateTopic("straggle-app");
   world.forest->SubscribeAll(topic, world.AllNodes());
 
-  const size_t root = world.forest->RootOf(topic);
   uint64_t total_count = 0;
-  world.forest->scribe(root).SetOnRootAggregate(
+  world.forest->SetOnRootAggregate(
       [&](const NodeId&, uint64_t, const AggregationPiece& total) {
         total_count = total.count;
       });
@@ -235,17 +263,15 @@ TEST(ScribeTest, StragglerCallbackNamesTheMissingChildren) {
   ASSERT_NE(silent, SIZE_MAX);
   const HostId silent_host = world.forest->scribe(silent).host();
   bool reported = false;
-  for (size_t i = 0; i < world.forest->size(); ++i) {
-    world.forest->scribe(i).SetOnStragglers(
-        [&](const NodeId&, uint64_t round, const std::vector<HostId>& missing) {
-          EXPECT_EQ(round, 1u);
-          for (HostId h : missing) {
-            if (h == silent_host) {
-              reported = true;
-            }
+  world.forest->SetOnStragglers(
+      [&](const NodeId&, uint64_t round, const std::vector<HostId>& missing) {
+        EXPECT_EQ(round, 1u);
+        for (HostId h : missing) {
+          if (h == silent_host) {
+            reported = true;
           }
-        });
-  }
+        }
+      });
   for (size_t i = 0; i < world.forest->size(); ++i) {
     if (i == silent) {
       continue;
@@ -292,16 +318,10 @@ TEST(ScribeTest, UnsubscribeLeafPrunesEdge) {
   }
   world.forest->scribe(leaf).Unsubscribe(topic);
   world.sim.Run();
-  PastryNode* parent_node = world.pastry->FindByHost(parent);
-  ASSERT_NE(parent_node, nullptr);
   // The parent no longer lists the leaf as a child.
-  for (size_t i = 0; i < world.forest->size(); ++i) {
-    if (world.forest->scribe(i).host() == parent) {
-      const auto children = world.forest->scribe(i).ChildrenOf(topic);
-      for (HostId c : children) {
-        EXPECT_NE(c, world.forest->scribe(leaf).host());
-      }
-    }
+  ASSERT_LT(parent, world.forest->size());
+  for (HostId c : world.forest->scribe(parent).ChildrenOf(topic)) {
+    EXPECT_NE(c, world.forest->scribe(leaf).host());
   }
 }
 

@@ -368,16 +368,13 @@ ForestRunResult RunForestScenario(bool coalesce) {
     world.forest->SubscribeAll(topics.back(), world.AllNodes());
   }
 
-  for (size_t i = 0; i < world.forest->size(); ++i) {
-    world.forest->scribe(i).SetOnBroadcast(
-        [&result](const NodeId&, uint64_t, const ScribeBroadcast&) {
-          ++result.broadcasts_delivered;
-        });
-    world.forest->scribe(i).SetOnRootAggregate(
-        [&result](const NodeId&, uint64_t, const AggregationPiece&) {
-          ++result.root_totals;
-        });
-  }
+  world.forest->SetOnBroadcast([&result](HostId, const NodeId&, uint64_t,
+                                          const ScribeBroadcast&) {
+    ++result.broadcasts_delivered;
+  });
+  world.forest->SetOnRootAggregate([&result](const NodeId&, uint64_t, const AggregationPiece&) {
+    ++result.root_totals;
+  });
   world.forest->StartMaintenance();
 
   // Two app rounds over the first topic while heartbeats tick underneath.
